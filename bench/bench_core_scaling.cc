@@ -35,7 +35,7 @@ namespace {
 WorkloadConfig CellConfig(bool read_mostly, int threads, bool lock_word,
                           bool pin) {
   WorkloadConfig cfg;
-  cfg.mode = CcMode::kMossRW;
+  cfg.mode = Baseline::kMossRW;
   cfg.threads = threads;
   cfg.num_keys = read_mostly ? 64 : 4;
   cfg.read_ratio = read_mostly ? 0.95 : 0.5;

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
               "goodput", "txn/s", "goodput");
   for (int abort_pct : {0, 5, 10, 20, 35, 50}) {
     std::printf("%8d |", abort_pct);
-    for (CcMode mode : {CcMode::kMossRW, CcMode::kFlat2PL}) {
+    for (Baseline mode : {Baseline::kMossRW, Baseline::kFlat2PL}) {
       WorkloadConfig cfg;
       cfg.mode = mode;
       cfg.threads = 8;
@@ -40,10 +40,10 @@ int main(int argc, char** argv) {
       WorkloadResult r = RunWorkload(cfg);
       if (json) {
         AddWorkloadEntry(
-            out, StrCat("abort", abort_pct, "_", CcModeName(mode)), cfg, r);
+            out, StrCat("abort", abort_pct, "_", BaselineName(mode)), cfg, r);
       }
       std::printf(" %10.0f %10.1f%% %s", r.TxnPerSec(), 100 * r.Goodput(),
-                  mode == CcMode::kMossRW ? "|" : "");
+                  mode == Baseline::kMossRW ? "|" : "");
     }
     std::printf("\n");
   }

@@ -1,5 +1,5 @@
 // E6 — contention behaviour: throughput vs. key-space size, skew, and
-// thread count, across CC modes.
+// thread count, across the baselines.
 //
 // Transactions dwell 200us per access while holding locks (the Argus
 // I/O model; see DESIGN.md).
@@ -36,14 +36,14 @@ void KeySweep(JsonResultFile* out) {
               "exclusive", "flat-2pl", "serial");
   for (int keys : {1, 2, 4, 16, 64, 256}) {
     std::printf("%8d |", keys);
-    for (CcMode mode : {CcMode::kMossRW, CcMode::kExclusive,
-                        CcMode::kFlat2PL, CcMode::kSerial}) {
+    for (Baseline mode : {Baseline::kMossRW, Baseline::kExclusive,
+                          Baseline::kFlat2PL, Baseline::kSerial}) {
       WorkloadConfig cfg = BaseConfig();
       cfg.mode = mode;
       cfg.num_keys = keys;
       WorkloadResult r = RunWorkload(cfg);
       if (out != nullptr) {
-        AddWorkloadEntry(*out, StrCat("keys", keys, "_", CcModeName(mode)),
+        AddWorkloadEntry(*out, StrCat("keys", keys, "_", BaselineName(mode)),
                          cfg, r);
       }
       std::printf(" %12.0f", r.TxnPerSec());
@@ -58,7 +58,7 @@ void SkewSweep(JsonResultFile* out) {
   std::printf("%8s | %12s %12s\n", "theta", "moss-rw", "exclusive");
   for (double theta : {0.0, 0.5, 0.9, 0.99, 1.2}) {
     std::printf("%8.2f |", theta);
-    for (CcMode mode : {CcMode::kMossRW, CcMode::kExclusive}) {
+    for (Baseline mode : {Baseline::kMossRW, Baseline::kExclusive}) {
       WorkloadConfig cfg = BaseConfig();
       cfg.mode = mode;
       cfg.num_keys = 64;
@@ -67,7 +67,7 @@ void SkewSweep(JsonResultFile* out) {
       if (out != nullptr) {
         AddWorkloadEntry(*out,
                          StrCat("theta", int(theta * 100), "_",
-                                CcModeName(mode)),
+                                BaselineName(mode)),
                          cfg, r);
       }
       std::printf(" %12.0f", r.TxnPerSec());
@@ -83,8 +83,8 @@ void ThreadSweep(JsonResultFile* out) {
               "serial");
   for (int threads : {1, 2, 4, 8, 16}) {
     std::printf("%8d |", threads);
-    for (CcMode mode :
-         {CcMode::kMossRW, CcMode::kExclusive, CcMode::kSerial}) {
+    for (Baseline mode :
+         {Baseline::kMossRW, Baseline::kExclusive, Baseline::kSerial}) {
       WorkloadConfig cfg = BaseConfig();
       cfg.mode = mode;
       cfg.threads = threads;
@@ -92,7 +92,7 @@ void ThreadSweep(JsonResultFile* out) {
       WorkloadResult r = RunWorkload(cfg);
       if (out != nullptr) {
         AddWorkloadEntry(*out,
-                         StrCat("threads", threads, "_", CcModeName(mode)),
+                         StrCat("threads", threads, "_", BaselineName(mode)),
                          cfg, r);
       }
       std::printf(" %12.0f", r.TxnPerSec());

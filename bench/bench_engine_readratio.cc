@@ -25,8 +25,8 @@ int main(int argc, char** argv) {
               "exclusive", "flat-2pl", "serial");
   for (int read_pct : {0, 25, 50, 75, 90, 100}) {
     std::printf("%8d |", read_pct);
-    for (CcMode mode : {CcMode::kMossRW, CcMode::kExclusive,
-                        CcMode::kFlat2PL, CcMode::kSerial}) {
+    for (Baseline mode : {Baseline::kMossRW, Baseline::kExclusive,
+                          Baseline::kFlat2PL, Baseline::kSerial}) {
       WorkloadConfig cfg;
       cfg.mode = mode;
       cfg.threads = 16;
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
       WorkloadResult r = RunWorkload(cfg);
       if (json) {
         AddWorkloadEntry(
-            out, StrCat("read", read_pct, "_", CcModeName(mode)), cfg, r);
+            out, StrCat("read", read_pct, "_", BaselineName(mode)), cfg, r);
       }
       std::printf(" %12.0f", r.TxnPerSec());
     }
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     // held-lock fast lane's home turf.
     {
       WorkloadConfig cfg;
-      cfg.mode = CcMode::kMossRW;
+      cfg.mode = Baseline::kMossRW;
       cfg.threads = 2;
       cfg.num_keys = 8;
       cfg.read_ratio = 0.95;
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     }
     {
       WorkloadConfig cfg;
-      cfg.mode = CcMode::kMossRW;
+      cfg.mode = Baseline::kMossRW;
       cfg.threads = 8;
       cfg.num_keys = 8;
       cfg.read_ratio = 0.9;
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\nconcurrency-admission detail at read%%=90:\n");
-  for (CcMode mode : {CcMode::kMossRW, CcMode::kExclusive}) {
+  for (Baseline mode : {Baseline::kMossRW, Baseline::kExclusive}) {
     WorkloadConfig cfg;
     cfg.mode = mode;
     cfg.threads = 16;
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     WorkloadResult r = RunWorkload(cfg);
     std::printf("  %-10s txn/s=%-8.0f waits=%-6llu deadlocks=%-5llu "
                 "goodput=%.1f%%\n",
-                CcModeName(mode), r.TxnPerSec(),
+                BaselineName(mode), r.TxnPerSec(),
                 (unsigned long long)r.lock_waits,
                 (unsigned long long)r.deadlocks, 100 * r.Goodput());
   }

@@ -29,7 +29,7 @@ struct Cell {
 
 WorkloadConfig Read95Hotset() {
   WorkloadConfig cfg;
-  cfg.mode = CcMode::kMossRW;
+  cfg.mode = Baseline::kMossRW;
   cfg.threads = 2;
   cfg.num_keys = 8;
   cfg.read_ratio = 0.95;

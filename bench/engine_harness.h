@@ -1,6 +1,10 @@
 // Shared workload driver for the engine experiments (E3-E6): time-boxed
 // multithreaded runs of a parameterized transaction mix, reporting
 // throughput and engine counters. Used by the bench_engine_* binaries.
+//
+// The engine runs one algorithm, Moss nested read/write locking. The
+// paper's comparison baselines are expressed here, as transforms of the
+// workload the harness issues (see Baseline), not as engine modes.
 #ifndef NESTEDTX_BENCH_ENGINE_HARNESS_H_
 #define NESTEDTX_BENCH_ENGINE_HARNESS_H_
 
@@ -8,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -25,8 +30,42 @@
 namespace nestedtx {
 namespace bench {
 
+/// The workload transform a run applies: the paper's algorithm itself,
+/// or one of the baselines it is compared against.
+enum class Baseline {
+  /// Moss nested read/write locking (§5.1), untransformed.
+  kMossRW,
+  /// Exclusive nested locking ([LM]): every read is issued as
+  /// GetForUpdate, so every access takes a write lock — exactly what
+  /// Moss's algorithm degenerates to with no read accesses.
+  kExclusive,
+  /// Flat two-phase locking: no subtransactions. Every level's accesses
+  /// run on the top-level transaction, and an injected leaf failure has
+  /// no savepoint to roll back to, so it aborts the whole attempt (System
+  /// R without savepoints — the contrast in the paper's introduction).
+  kFlat2PL,
+  /// Serial execution: a harness-side mutex is held from Begin to
+  /// Commit/Abort of every top-level attempt (the serial scheduler's
+  /// discipline; the correctness yardstick and the lower-bound baseline).
+  kSerial,
+};
+
+inline const char* BaselineName(Baseline baseline) {
+  switch (baseline) {
+    case Baseline::kMossRW:
+      return "moss-rw";
+    case Baseline::kExclusive:
+      return "exclusive";
+    case Baseline::kFlat2PL:
+      return "flat-2pl";
+    case Baseline::kSerial:
+      return "serial";
+  }
+  return "?";
+}
+
 struct WorkloadConfig {
-  CcMode mode = CcMode::kMossRW;
+  Baseline mode = Baseline::kMossRW;
   /// Conflict scheduling (EngineOptions::cc_protocol): deadlock
   /// detection (default), wait-die or no-wait. The E15 shootout sweeps
   /// this axis; every other bench pins the default so baselines carry.
@@ -38,7 +77,7 @@ struct WorkloadConfig {
   int accesses_per_txn = 4;
   int nesting_depth = 1;  // accesses spread over this many levels
   /// P(the DEEPEST subtransaction level aborts voluntarily). Injected at
-  /// the leaf so the partial-abort comparison is crisp: nested modes redo
+  /// the leaf so the partial-abort comparison is crisp: nested runs redo
   /// one leaf subtree, flat 2PL redoes the whole transaction.
   double subtxn_abort_prob = 0;
   /// Time spent "using" each accessed value while holding its lock —
@@ -70,6 +109,8 @@ struct WorkloadResult {
   uint64_t attempts = 0;    // total top-level attempts
   uint64_t ops = 0;         // committed accesses
   double seconds = 0;
+  uint64_t txns_begun = 0;  // engine-side begins, subtransactions included
+  uint64_t reads = 0;       // read-lock grants (engine stats)
   uint64_t lock_waits = 0;
   uint64_t deadlocks = 0;
   uint64_t timeouts = 0;
@@ -129,7 +170,8 @@ inline Status RunLevel(TxnRun& run, Transaction& parent, int level) {
   for (int i = 0; i < mine; ++i) {
     const std::string& key = run.keys[run.zipf.Next(run.rng)];
     if (run.rng.Bernoulli(cfg.read_ratio)) {
-      auto r = parent.TryGet(key);
+      auto r = cfg.mode == Baseline::kExclusive ? parent.GetForUpdate(key)
+                                                : parent.TryGet(key);
       if (!r.ok()) return r.status();
     } else {
       auto r = parent.Add(key, 1);
@@ -142,6 +184,20 @@ inline Status RunLevel(TxnRun& run, Transaction& parent, int level) {
     ++run.ops;
   }
   if (level + 1 >= run.levels || run.remaining <= 0) return Status::OK();
+  const bool child_is_deepest = level + 1 == run.levels - 1;
+  auto injected_failure = [&] {
+    return child_is_deepest && cfg.subtxn_abort_prob > 0 &&
+           run.rng.Bernoulli(cfg.subtxn_abort_prob);
+  };
+  if (cfg.mode == Baseline::kFlat2PL) {
+    // Flat 2PL: the next level runs on this same transaction, and a leaf
+    // failure aborts the whole top-level attempt.
+    Status s = RunLevel(run, parent, level + 1);
+    if (s.ok() && injected_failure()) {
+      s = Status::Aborted("injected subtransaction failure");
+    }
+    return s;
+  }
   // Descend one nesting level as a subtransaction, with one retry on a
   // voluntary abort (the partial-abort pattern).
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -149,9 +205,7 @@ inline Status RunLevel(TxnRun& run, Transaction& parent, int level) {
     if (!child.ok()) return child.status();
     const int saved_remaining = run.remaining;
     Status s = RunLevel(run, **child, level + 1);
-    const bool child_is_deepest = level + 1 == run.levels - 1;
-    if (s.ok() && child_is_deepest && cfg.subtxn_abort_prob > 0 &&
-        run.rng.Bernoulli(cfg.subtxn_abort_prob)) {
+    if (s.ok() && injected_failure()) {
       s = Status::Aborted("injected subtransaction failure");
     }
     if (s.ok()) {
@@ -170,7 +224,7 @@ inline Status RunLevel(TxnRun& run, Transaction& parent, int level) {
 // One transaction: `accesses_per_txn` accesses distributed over a chain
 // of `nesting_depth` subtransaction levels; each level may spontaneously
 // abort with `subtxn_abort_prob` (and is retried once by its parent —
-// partial abort under nesting, doom-and-restart under flat 2PL).
+// partial abort under nesting, a whole-attempt restart under flat 2PL).
 // `op_count` receives the number of accesses this attempt performed.
 inline Status RunOneTransaction(const WorkloadConfig& cfg, Transaction& txn,
                                 const std::vector<std::string>& keys,
@@ -194,7 +248,6 @@ inline WorkloadResult RunWorkload(const WorkloadConfig& raw_cfg) {
   // time box per cell keeps a whole sweep under a second.
   if (Smoke()) cfg.duration_seconds = std::min(cfg.duration_seconds, 0.02);
   EngineOptions options;
-  options.cc_mode = cfg.mode;
   options.cc_protocol = cfg.cc_protocol;
   options.lock_timeout = cfg.lock_timeout;
   options.metrics_enabled = cfg.metrics_enabled;
@@ -210,6 +263,7 @@ inline WorkloadResult RunWorkload(const WorkloadConfig& raw_cfg) {
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> committed{0}, failed{0}, attempts{0}, ops{0};
+  std::mutex serial_gate;  // kSerial: held for one top-level attempt
   std::vector<std::thread> workers;
   Stopwatch clock;
   for (int w = 0; w < cfg.threads; ++w) {
@@ -222,6 +276,8 @@ inline WorkloadResult RunWorkload(const WorkloadConfig& raw_cfg) {
         Status s = Status::Aborted("");
         int attempt = 0;
         for (; attempt < cfg.max_attempts; ++attempt) {
+          std::unique_lock<std::mutex> gate(serial_gate, std::defer_lock);
+          if (cfg.mode == Baseline::kSerial) gate.lock();
           auto txn = db.Begin();
           s = RunOneTransaction(cfg, *txn, keys, rng, zipf, &txn_ops);
           if (s.ok()) {
@@ -254,6 +310,8 @@ inline WorkloadResult RunWorkload(const WorkloadConfig& raw_cfg) {
   result.ops = ops.load();
   result.seconds = clock.ElapsedSeconds();
   const StatsSnapshot stats = db.stats().Snapshot();
+  result.txns_begun = stats.txns_begun;
+  result.reads = stats.reads;
   result.lock_waits = stats.lock_waits;
   result.deadlocks = stats.deadlocks;
   result.timeouts = stats.lock_timeouts;
@@ -275,7 +333,7 @@ inline JsonResultFile::Entry& AddWorkloadEntry(JsonResultFile& out,
                                                const WorkloadConfig& cfg,
                                                const WorkloadResult& r) {
   return out.Add(name)
-      .Str("mode", CcModeName(cfg.mode))
+      .Str("mode", BaselineName(cfg.mode))
       .Str("cc_protocol", CcProtocolName(cfg.cc_protocol))
       .Int("threads", cfg.threads)
       .Int("num_keys", cfg.num_keys)

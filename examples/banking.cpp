@@ -1,7 +1,9 @@
 // Banking under contention: many worker threads transfer money between
 // accounts using nested transactions; deadlock victims retry only the
 // failing subtree. Demonstrates invariant preservation (total balance is
-// conserved) and prints engine statistics for each CC mode.
+// conserved) and prints engine statistics. Runs the engine's one
+// algorithm, Moss nested read/write locking; the paper's baselines live
+// in the bench harness (bench/engine_harness.h).
 //
 // Usage: ./build/examples/banking [threads] [transfers-per-thread]
 #include <atomic>
@@ -29,9 +31,8 @@ int64_t TotalBalance(Database& db) {
   return total;
 }
 
-void RunScenario(CcMode mode, int threads, int transfers_per_thread) {
+void RunScenario(int threads, int transfers_per_thread) {
   EngineOptions options;
-  options.cc_mode = mode;
   options.lock_timeout = std::chrono::milliseconds(500);
   Database db(options);
   for (int i = 0; i < kAccounts; ++i) {
@@ -76,13 +77,13 @@ void RunScenario(CcMode mode, int threads, int transfers_per_thread) {
 
   const int64_t total = TotalBalance(db);
   std::printf(
-      "%-10s threads=%d transfers=%d committed=%d failed=%d "
+      "threads=%d transfers=%d committed=%d failed=%d "
       "throughput=%.0f txn/s total=%lld (%s)\n",
-      CcModeName(mode), threads, threads * transfers_per_thread,
+      threads, threads * transfers_per_thread,
       committed.load(), failed.load(), committed.load() / secs,
       static_cast<long long>(total),
       total == kAccounts * kInitialBalance ? "conserved ✓" : "VIOLATED ✗");
-  std::printf("           %s\n", db.stats().ToString().c_str());
+  std::printf("%s\n", db.stats().ToString().c_str());
 }
 
 }  // namespace
@@ -92,9 +93,6 @@ int main(int argc, char** argv) {
   const int per_thread = argc > 2 ? std::atoi(argv[2]) : 500;
   std::printf("banking: %d accounts, initial total %lld\n\n", kAccounts,
               static_cast<long long>(kAccounts * kInitialBalance));
-  for (CcMode mode : {CcMode::kMossRW, CcMode::kExclusive, CcMode::kFlat2PL,
-                      CcMode::kSerial}) {
-    RunScenario(mode, threads, per_thread);
-  }
+  RunScenario(threads, per_thread);
   return 0;
 }

@@ -5,7 +5,6 @@
 
 #include "core/database.h"
 
-using nestedtx::CcMode;
 using nestedtx::Database;
 using nestedtx::EngineOptions;
 using nestedtx::Status;
@@ -16,7 +15,6 @@ int main() {
   //    read/write locking — the algorithm whose correctness the paper
   //    proves (PODS '87, Fekete/Lynch/Merritt/Weihl).
   EngineOptions options;
-  options.cc_mode = CcMode::kMossRW;
   Database db(options);
 
   // 2. A top-level transaction: reads and writes under two-phase locks.

@@ -8,20 +8,13 @@ namespace nestedtx {
 namespace {
 
 // Deadlock detection: the engine's historical wait/victim machinery,
-// now policy-private. Owns the wait-for graph, honors the
-// DeadlockPolicy sub-knob (kTimeoutOnly waits unregistered — deadlocks
-// surface as timeouts) and the VictimPolicy choice, and maintains the
-// kFewestLocksHeld lock-count index when that policy demands it.
+// now policy-private. Owns the wait-for graph and honors the
+// VictimPolicy choice; lock_timeout still bounds every wait.
 class DetectPolicy : public ConflictPolicy {
  public:
   explicit DetectPolicy(const EngineOptions& options,
                         const char* name = nullptr)
-      : use_graph_(options.deadlock_policy ==
-                   DeadlockPolicy::kWaitForGraph),
-        track_counts_(use_graph_ && options.victim_policy ==
-                                        VictimPolicy::kFewestLocksHeld),
-        name_(name != nullptr ? name
-                              : CcProtocolName(CcProtocol::kDetect)) {
+      : name_(name != nullptr ? name : CcProtocolName(CcProtocol::kDetect)) {
     graph_.SetVictimPolicy(options.victim_policy);
   }
 
@@ -30,7 +23,6 @@ class DetectPolicy : public ConflictPolicy {
                       const WaitGraph::WaiterInfo& info,
                       std::vector<WaitGraph::Wakeup>* wakeups) override {
     Decision d;
-    if (!use_graph_) return d;  // kTimeoutOnly: wait, unregistered
     const Status reg = graph_.AddWait(txn, holders, info, wakeups);
     if (!reg.ok()) {
       // The registration would have closed a cycle and the victim
@@ -45,7 +37,7 @@ class DetectPolicy : public ConflictPolicy {
   }
 
   bool TakeVictim(const TransactionId& txn) override {
-    return use_graph_ && graph_.TakeVictim(txn);
+    return graph_.TakeVictim(txn);
   }
 
   void OnWaitEnd(const TransactionId& txn) override {
@@ -53,22 +45,7 @@ class DetectPolicy : public ConflictPolicy {
   }
 
   void OnTransactionEnd(const TransactionId& txn) override {
-    if (use_graph_) graph_.RemoveWait(txn);
-  }
-
-  bool TracksLockCounts() const override { return track_counts_; }
-
-  void NoteLockAcquired(const TransactionId& txn) override {
-    if (track_counts_) graph_.NoteLockAcquired(txn);
-  }
-
-  void ApplyLockCountDeltas(
-      const std::vector<WaitGraph::LockCountDelta>& deltas) override {
-    graph_.ApplyLockCountDeltas(deltas);
-  }
-
-  uint64_t LocksHeldBy(const TransactionId& txn) const override {
-    return track_counts_ ? graph_.LocksHeldBy(txn) : 0;
+    graph_.RemoveWait(txn);
   }
 
   size_t NumWaiters() const override { return graph_.NumWaiters(); }
@@ -78,8 +55,6 @@ class DetectPolicy : public ConflictPolicy {
   const char* Name() const override { return name_; }
 
  private:
-  const bool use_graph_;
-  const bool track_counts_;
   const char* name_;
   WaitGraph graph_;
 };

@@ -18,9 +18,8 @@
 //               deadlock can form and no detector exists.
 //   no-wait   — any conflict dies immediately with Status::Deadlock.
 //
-// State ownership: the wait-for graph, the cycle detector, the victim
-// policy and the per-transaction lock counts (kFewestLocksHeld weights)
-// are all private to the detection policy. Prevention policies carry no
+// State ownership: the wait-for graph, the cycle detector and the victim
+// policy are all private to the detection policy. Prevention policies carry no
 // state at all — their decisions are pure functions of (requester,
 // holders) — which is what makes them trivially correct against the
 // doom registry, the park table and the batched release path: those
@@ -94,19 +93,6 @@ class ConflictPolicy {
   /// registration `txn` may have leaked (an operation torn down with a
   /// result still in flight).
   virtual void OnTransactionEnd(const TransactionId& txn) { (void)txn; }
-
-  // ---- Victim-weight bookkeeping (kFewestLocksHeld under detection;
-  // every other configuration pays a single branch). ----
-  virtual bool TracksLockCounts() const { return false; }
-  virtual void NoteLockAcquired(const TransactionId& txn) { (void)txn; }
-  virtual void ApplyLockCountDeltas(
-      const std::vector<WaitGraph::LockCountDelta>& deltas) {
-    (void)deltas;
-  }
-  virtual uint64_t LocksHeldBy(const TransactionId& txn) const {
-    (void)txn;
-    return 0;
-  }
 
   /// Registered waiters (drain diagnostics; 0 for prevention policies,
   /// whose waiters are tracked only by the park table).

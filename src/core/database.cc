@@ -79,11 +79,6 @@ Status Database::Checkpoint() {
 }
 
 Status Database::EnableTracing() {
-  if (manager_.options().cc_mode == CcMode::kFlat2PL) {
-    return Status::InvalidArgument(
-        "tracing is not supported under flat 2PL (its locking does not "
-        "correspond to a R/W Locking system)");
-  }
   if (manager_.stats().Snapshot().txns_begun != 0) {
     return Status::FailedPrecondition(
         "EnableTracing must be called before the first transaction");

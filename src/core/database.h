@@ -92,8 +92,7 @@ class Database {
   /// Self-verifying mode: record this database's execution as a schedule
   /// of the formal model's R/W Locking system, checkable afterwards with
   /// CheckSeriallyCorrectForAll (see core/trace_recorder.h). Must be
-  /// called before the first transaction; not supported under kFlat2PL
-  /// (whose locking does not correspond to a R/W Locking system).
+  /// called before the first transaction.
   Status EnableTracing();
 
   /// The recorder, or nullptr if tracing is off.

@@ -67,21 +67,12 @@ class IdSet {
     return it != v_.end() && *it == id;
   }
 
-  /// Erase every element matching `pred`; calls `on_erase(id)` for each
-  /// just before removal. Returns the number erased.
-  template <typename Pred, typename OnErase>
-  size_t EraseIf(Pred pred, OnErase on_erase) {
-    size_t erased = 0;
-    for (size_t i = 0; i < v_.size();) {
-      if (pred(v_[i])) {
-        on_erase(v_[i]);
-        v_.erase(v_.begin() + i);
-        ++erased;
-      } else {
-        ++i;
-      }
-    }
-    return erased;
+  /// Erase every element matching `pred`. Returns the number erased.
+  template <typename Pred>
+  size_t EraseIf(Pred pred) {
+    const size_t before = v_.size();
+    v_.erase(std::remove_if(v_.begin(), v_.end(), pred), v_.end());
+    return before - v_.size();
   }
 
   bool empty() const { return v_.empty(); }
@@ -163,21 +154,15 @@ class VersionMap {
     return ReplaceOutcome::kReplaced;
   }
 
-  /// Erase every entry whose id matches `pred`; calls `on_erase(id)` for
-  /// each just before removal. Returns the number erased.
-  template <typename Pred, typename OnErase>
-  size_t EraseIf(Pred pred, OnErase on_erase) {
-    size_t erased = 0;
-    for (size_t i = 0; i < v_.size();) {
-      if (pred(v_[i].id)) {
-        on_erase(v_[i].id);
-        v_.erase(v_.begin() + i);
-        ++erased;
-      } else {
-        ++i;
-      }
-    }
-    return erased;
+  /// Erase every entry whose id matches `pred`. Returns the number
+  /// erased.
+  template <typename Pred>
+  size_t EraseIf(Pred pred) {
+    const size_t before = v_.size();
+    v_.erase(std::remove_if(v_.begin(), v_.end(),
+                            [&](const Entry& e) { return pred(e.id); }),
+             v_.end());
+    return before - v_.size();
   }
 
   bool empty() const { return v_.empty(); }

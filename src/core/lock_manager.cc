@@ -33,9 +33,9 @@ namespace {
 //       (the seqlock read lane).
 constexpr uint64_t BumpSeq(uint64_t w) { return LockWordBumpSeq(w); }
 
-// Fast paths give up after this many failed tries for the MICRO bit;
-// sustained micro contention is a conflict signal, and the slow path's
-// escalation is the designed response.
+// Fast paths give up after this many failed tries for the MICRO bit and
+// retry under the key mutex, which waits the bit out: contention alone
+// never escalates a key (only a conflict does).
 constexpr int kFastSpinBudget = 64;
 
 }  // namespace
@@ -117,6 +117,22 @@ bool TryAcquireMicro(LockManager::KeyState& ks, uint64_t* pre) {
   return false;
 }
 
+// MICRO acquisition for the fast lanes. Without ks.m the spin is bounded
+// (kFastSpinBudget). With ks.m held (`key_locked`) inflation is excluded,
+// so a set MICRO bit is only an in-flight fast section and is waited
+// out: a lane retried under the mutex escalates on INFLATED alone, never
+// on a lost spin race. Fails on an inflated word; on success *pre
+// receives the pre-CAS word (INFLATED and MICRO clear).
+bool AcquireMicroFast(LockManager::KeyState& ks, bool key_locked,
+                      uint64_t* pre) {
+  if (!key_locked) return TryAcquireMicro(ks, pre);
+  if (ks.hot.word.load(std::memory_order_relaxed) & kWordInflated) {
+    return false;
+  }
+  *pre = AcquireMicroLocked(ks);
+  return true;
+}
+
 // Micro-bit scope for inspection paths (snapshots, base access) that
 // must see a stable uninflated key without escalating it. Caller holds
 // ks.m; on an inflated key ks.m alone already owns the state and no bit
@@ -155,18 +171,7 @@ LockManager::LockManager(const EngineOptions& options, EngineStats* stats,
       stats_(stats),
       metrics_(metrics),
       policy_(MakeConflictPolicy(options)),
-      track_lock_counts_(policy_->TracksLockCounts()),
       shards_(options.lock_table_shards) {}
-
-void LockManager::NoteLockAcquired(const TransactionId& txn) {
-  if (!track_lock_counts_) return;
-  policy_->NoteLockAcquired(txn);
-}
-
-uint64_t LockManager::LocksHeldBy(const TransactionId& txn) const {
-  if (!track_lock_counts_) return 0;
-  return policy_->LocksHeldBy(txn);
-}
 
 LockManager::~LockManager() = default;
 
@@ -217,6 +222,18 @@ void LockManager::EnsureInflatedLocked(KeyState& ks) {
   const uint64_t w = AcquireMicroLocked(ks);
   ks.hot.word.store(w | kWordInflated, std::memory_order_release);
   stats_->Add(kStatLockWordInflations);
+}
+
+bool LockManager::InflateForRepeatLocked(KeyState& ks) {
+  // An uninflated key where a fast grant was allowed means the fast lane
+  // only lost a MICRO race; the full grant path retries it under ks.m
+  // without escalating.
+  if (FastLanesEnabled() && FastGrantAllowed() &&
+      (ks.hot.word.load(std::memory_order_relaxed) & kWordInflated) == 0) {
+    return false;
+  }
+  EnsureInflatedLocked(ks);
+  return true;
 }
 
 void LockManager::MaybeDeflateLocked(KeyState& ks) {
@@ -431,7 +448,6 @@ Status LockManager::WaitForGrant(KeyState& ks,
       WaitGraph::WaiterInfo info;
       info.mutex = &ks.m;
       info.cv = &ks.cv;
-      info.locks_held = LocksHeldBy(txn);
       wakeups.clear();
       const ConflictPolicy::Decision d =
           policy_->OnConflict(txn, conflicts, info, &wakeups);
@@ -550,19 +566,24 @@ Status LockManager::WaitForGrant(KeyState& ks,
   }
 }
 
+bool LockManager::FastGrantAllowed() const {
+  // The word cannot speak for the whole grant decision while a subtree is
+  // doomed anywhere (WaitForGrant must get the chance to return Cancelled
+  // before granting) or the grant failpoint is armed (injections fire
+  // from the mutex-protected site, and a delay must not run under a spin
+  // lock).
+  return doomed_count_.load(std::memory_order_relaxed) == 0 &&
+         !FailPoints::Armed(FailPoints::kLockGrant);
+}
+
 bool LockManager::TryFastAcquire(KeyState& ks, const TransactionId& txn,
                                  bool exclusive, const Mutator* mutator,
                                  HeldLock* held,
-                                 Result<std::optional<int64_t>>* result) {
-  // Bail to the slow path whenever the word cannot speak for the whole
-  // grant decision: a doomed subtree anywhere (WaitForGrant must get the
-  // chance to return Cancelled before granting) or an armed grant
-  // failpoint (injections fire from the mutex-protected site, and a
-  // delay must not run under a spin lock).
-  if (doomed_count_.load(std::memory_order_relaxed) != 0) return false;
-  if (FailPoints::Armed(FailPoints::kLockGrant)) return false;
+                                 Result<std::optional<int64_t>>* result,
+                                 bool key_locked) {
+  if (!FastGrantAllowed()) return false;
   uint64_t w;
-  if (!TryAcquireMicro(ks, &w)) return false;
+  if (!AcquireMicroFast(ks, key_locked, &w)) return false;
   // Moss compatibility over the real holder sets (tiny sorted vectors).
   // Any conflict escalates: a conflicter is a would-be waiter, and
   // waiting lives on the mutex path.
@@ -588,10 +609,7 @@ bool LockManager::TryFastAcquire(KeyState& ks, const TransactionId& txn,
   uint64_t nw = w;
   std::optional<int64_t> out;
   if (!exclusive) {
-    if (ks.read_holders.Insert(txn)) {
-      nw = BumpSeq(nw);
-      NoteLockAcquired(txn);
-    }
+    if (ks.read_holders.Insert(txn)) nw = BumpSeq(nw);
     out = (w & kWordPresent)
               ? std::optional<int64_t>(
                     ks.hot.value.load(std::memory_order_relaxed))
@@ -607,10 +625,7 @@ bool LockManager::TryFastAcquire(KeyState& ks, const TransactionId& txn,
     // deepest writer: its new version IS the current value.
     const std::optional<int64_t> current = CurrentValue(ks);
     out = (*mutator)(current);
-    if (ks.write_holders.Put(txn, out)) {
-      nw = BumpSeq(nw);
-      NoteLockAcquired(txn);
-    }
+    if (ks.write_holders.Put(txn, out)) nw = BumpSeq(nw);
     nw = RefreshValueCache(ks, out, nw);
     if (held != nullptr) {
       *held = HeldLock{&ks, &ks.hot, nw, /*read=*/ks.read_holders.Contains(txn),
@@ -641,13 +656,18 @@ Result<std::optional<int64_t>> LockManager::AcquireReadOn(
     KeyState& ks, const TransactionId& txn, const AccessTraceInfo* trace,
     HeldLock* held) {
   std::unique_lock<std::mutex> lk(ks.m);
+  Result<std::optional<int64_t>> fast = std::optional<int64_t>{};
+  if (FastLanesEnabled() &&
+      TryFastAcquire(ks, txn, /*exclusive=*/false, nullptr, held, &fast,
+                     /*key_locked=*/true)) {
+    return fast;
+  }
   RETURN_IF_ERROR(WaitForGrant(ks, lk, txn, /*exclusive=*/false));
   RETURN_IF_ERROR(FailPoints::MaybeFail(FailPoints::kLockGrant));
   FailPoints::MaybeDelay(FailPoints::kLockGrant);
   if (ks.read_holders.Insert(txn)) {
     ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
                   std::memory_order_relaxed);
-    NoteLockAcquired(txn);
   }
   stats_->Add2(kStatLockGrants, kStatReads);
   const std::optional<int64_t> value = CurrentValue(ks);
@@ -683,6 +703,12 @@ Result<std::optional<int64_t>> LockManager::AcquireWriteOn(
     KeyState& ks, const TransactionId& txn, const Mutator& mutator,
     const AccessTraceInfo* trace, HeldLock* held) {
   std::unique_lock<std::mutex> lk(ks.m);
+  Result<std::optional<int64_t>> fast = std::optional<int64_t>{};
+  if (FastLanesEnabled() &&
+      TryFastAcquire(ks, txn, /*exclusive=*/true, &mutator, held, &fast,
+                     /*key_locked=*/true)) {
+    return fast;
+  }
   RETURN_IF_ERROR(WaitForGrant(ks, lk, txn, /*exclusive=*/true));
   RETURN_IF_ERROR(FailPoints::MaybeFail(FailPoints::kLockGrant));
   FailPoints::MaybeDelay(FailPoints::kLockGrant);
@@ -691,7 +717,6 @@ Result<std::optional<int64_t>> LockManager::AcquireWriteOn(
   if (ks.write_holders.Put(txn, next)) {
     ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
                   std::memory_order_relaxed);
-    NoteLockAcquired(txn);
   }
   stats_->Add2(kStatLockGrants, kStatWrites);
   if (held != nullptr) {
@@ -712,7 +737,7 @@ bool LockManager::TryReacquireRead(HeldLock& held, const TransactionId& txn,
   if (!held.read && !held.write) return false;
   KeyState& ks = *held.key;
   std::unique_lock<std::mutex> lk(ks.m);
-  EnsureInflatedLocked(ks);
+  if (!InflateForRepeatLocked(ks)) return false;
   if ((ks.hot.word.load(std::memory_order_relaxed) & kWordSeqMask) !=
       (held.word & kWordSeqMask)) {
     return false;
@@ -725,7 +750,6 @@ bool LockManager::TryReacquireRead(HeldLock& held, const TransactionId& txn,
     if (ks.read_holders.Insert(txn)) {
       ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
                     std::memory_order_relaxed);
-      NoteLockAcquired(txn);
     }
     held.read = true;
   }
@@ -746,7 +770,7 @@ bool LockManager::TryReacquireWrite(HeldLock& held, const TransactionId& txn,
   if (!held.write) return false;
   KeyState& ks = *held.key;
   std::unique_lock<std::mutex> lk(ks.m);
-  EnsureInflatedLocked(ks);
+  if (!InflateForRepeatLocked(ks)) return false;
   if ((ks.hot.word.load(std::memory_order_relaxed) & kWordSeqMask) !=
       (held.word & kWordSeqMask)) {
     return false;
@@ -825,24 +849,20 @@ Result<std::optional<int64_t>> LockManager::ReacquireWrite(
   return AcquireWriteOn(*held.key, txn, mutator, trace, &held);
 }
 
-// Batch-local bookkeeping: counter and lock-count deltas accumulated
-// while key mutexes (or micro bits) are held, wakeup intents deduped by
-// KeyState, all flushed once after the last key mutex drops.
+// Batch-local bookkeeping: counters accumulated while key mutexes (or
+// micro bits) are held, wakeup intents deduped by KeyState, all flushed
+// once after the last key mutex drops.
 struct LockManager::ReleaseScratch {
-  bool track_counts = false;
   uint64_t inherited = 0;        // commit: lock handoffs (or releases)
   uint64_t discarded = 0;        // abort: versions purged
   uint64_t notify_requests = 0;  // raw intents, before coalescing
   std::vector<KeyState*> changed;  // deduped pending wakeups
-  std::vector<WaitGraph::LockCountDelta> deltas;
 
   // Clear for a new batch, keeping vector capacity (the scratch is
   // thread-local and reused across batches).
-  void Reset(bool track) {
-    track_counts = track;
+  void Reset() {
     inherited = discarded = notify_requests = 0;
     changed.clear();
-    deltas.clear();
   }
 
   // A holder-set change on `ks` wants its waiters woken. Dual-mode
@@ -853,20 +873,6 @@ struct LockManager::ReleaseScratch {
     if (std::find(changed.begin(), changed.end(), ks) == changed.end()) {
       changed.push_back(ks);
     }
-  }
-
-  // Accumulate a signed lock-count delta for `id` (kFewestLocksHeld
-  // bookkeeping only); same-id deltas merge so the batch hands the wait
-  // graph one entry per distinct transaction.
-  void Note(const TransactionId& id, int64_t d) {
-    if (!track_counts) return;
-    for (WaitGraph::LockCountDelta& e : deltas) {
-      if (e.first == id) {
-        e.second += d;
-        return;
-      }
-    }
-    deltas.emplace_back(id, d);
   }
 };
 
@@ -884,14 +890,12 @@ void LockManager::CommitKeyLocked(KeyState& ks, const TransactionId& txn,
   if (parent.IsRoot()) {
     // Top-level commit: release the locks, install the version as base.
     if (auto version = ks.write_holders.TryTake(txn)) {
-      scratch.Note(txn, -1);
       ks.base = *version;
       ++scratch.inherited;
       if (ks.waiters > 0) scratch.PendWakeup(&ks);
       changed = true;
     }
     if (ks.read_holders.Erase(txn)) {
-      scratch.Note(txn, -1);
       ++scratch.inherited;
       if (ks.waiters > 0) scratch.PendWakeup(&ks);
       changed = true;
@@ -906,10 +910,8 @@ void LockManager::CommitKeyLocked(KeyState& ks, const TransactionId& txn,
         // Parent is a new holder (fast-lane fence).
         ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
                       std::memory_order_relaxed);
-        scratch.Note(parent, +1);
         [[fallthrough]];
       case ReplaceOutcome::kMerged:
-        scratch.Note(txn, -1);
         ++scratch.inherited;
         if (ks.waiters > 0) scratch.PendWakeup(&ks);
         changed = true;
@@ -921,10 +923,8 @@ void LockManager::CommitKeyLocked(KeyState& ks, const TransactionId& txn,
       case ReplaceOutcome::kReplaced:
         ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
                       std::memory_order_relaxed);
-        scratch.Note(parent, +1);
         [[fallthrough]];
       case ReplaceOutcome::kMerged:
-        scratch.Note(txn, -1);
         ++scratch.inherited;
         if (ks.waiters > 0) scratch.PendWakeup(&ks);
         changed = true;
@@ -944,14 +944,10 @@ void LockManager::AbortKeyLocked(KeyState& ks, const TransactionId& txn,
   FailPoints::MaybeDelay(FailPoints::kAbortPurge);
   // Discard entries of txn and (defensively) any stray descendants.
   const size_t writes = ks.write_holders.EraseIf(
-      [&](const TransactionId& w) { return txn.IsAncestorOf(w); },
-      [&](const TransactionId& w) {
-        scratch.Note(w, -1);
-        ++scratch.discarded;  // each write holder owned one version slot
-      });
+      [&](const TransactionId& w) { return txn.IsAncestorOf(w); });
+  scratch.discarded += writes;  // each write holder owned one version slot
   const size_t reads = ks.read_holders.EraseIf(
-      [&](const TransactionId& r) { return txn.IsAncestorOf(r); },
-      [&](const TransactionId& r) { scratch.Note(r, -1); });
+      [&](const TransactionId& r) { return txn.IsAncestorOf(r); });
   if (ks.waiters > 0) {
     if (writes > 0) scratch.PendWakeup(&ks);
     if (reads > 0) scratch.PendWakeup(&ks);
@@ -965,7 +961,7 @@ void LockManager::AbortKeyLocked(KeyState& ks, const TransactionId& txn,
 
 bool LockManager::TryFastRelease(KeyState& ks, const TransactionId& txn,
                                  const TransactionId* parent,
-                                 ReleaseScratch& scratch) {
+                                 ReleaseScratch& scratch, bool key_locked) {
   // Armed release failpoints must keep firing from the mutex-protected
   // bodies (and must never sleep under the spin bit).
   if (FailPoints::Armed(parent != nullptr ? FailPoints::kCommitInherit
@@ -973,7 +969,7 @@ bool LockManager::TryFastRelease(KeyState& ks, const TransactionId& txn,
     return false;
   }
   uint64_t w;
-  if (!TryAcquireMicro(ks, &w)) return false;
+  if (!AcquireMicroFast(ks, key_locked, &w)) return false;
   // Uninflated ⇒ no parked waiters (nothing to wake) and no recorder
   // (nothing to emit): the release is pure structure surgery plus the
   // scratch's counter intents.
@@ -981,52 +977,32 @@ bool LockManager::TryFastRelease(KeyState& ks, const TransactionId& txn,
   if (parent != nullptr) {
     if (parent->IsRoot()) {
       if (auto version = ks.write_holders.TryTake(txn)) {
-        scratch.Note(txn, -1);
         ks.base = *version;
         ++scratch.inherited;
         changed = true;
       }
       if (ks.read_holders.Erase(txn)) {
-        scratch.Note(txn, -1);
         ++scratch.inherited;
         changed = true;
       }
     } else {
-      switch (ks.write_holders.ReplaceWithAncestor(txn, *parent)) {
-        case ReplaceOutcome::kAbsent:
-          break;
-        case ReplaceOutcome::kReplaced:
-          scratch.Note(*parent, +1);
-          [[fallthrough]];
-        case ReplaceOutcome::kMerged:
-          scratch.Note(txn, -1);
-          ++scratch.inherited;
-          changed = true;
-          break;
+      if (ks.write_holders.ReplaceWithAncestor(txn, *parent) !=
+          ReplaceOutcome::kAbsent) {
+        ++scratch.inherited;
+        changed = true;
       }
-      switch (ks.read_holders.ReplaceWithAncestor(txn, *parent)) {
-        case ReplaceOutcome::kAbsent:
-          break;
-        case ReplaceOutcome::kReplaced:
-          scratch.Note(*parent, +1);
-          [[fallthrough]];
-        case ReplaceOutcome::kMerged:
-          scratch.Note(txn, -1);
-          ++scratch.inherited;
-          changed = true;
-          break;
+      if (ks.read_holders.ReplaceWithAncestor(txn, *parent) !=
+          ReplaceOutcome::kAbsent) {
+        ++scratch.inherited;
+        changed = true;
       }
     }
   } else {
     const size_t writes = ks.write_holders.EraseIf(
-        [&](const TransactionId& wh) { return txn.IsAncestorOf(wh); },
-        [&](const TransactionId& wh) {
-          scratch.Note(wh, -1);
-          ++scratch.discarded;
-        });
+        [&](const TransactionId& wh) { return txn.IsAncestorOf(wh); });
+    scratch.discarded += writes;
     const size_t reads = ks.read_holders.EraseIf(
-        [&](const TransactionId& r) { return txn.IsAncestorOf(r); },
-        [&](const TransactionId& r) { scratch.Note(r, -1); });
+        [&](const TransactionId& r) { return txn.IsAncestorOf(r); });
     changed = writes + reads > 0;
   }
   uint64_t nw = w;
@@ -1054,7 +1030,7 @@ void LockManager::ReleaseBatch(const TransactionId& txn,
   thread_local ReleaseScratch scratch;
   states.assign(n, nullptr);
   uncached.clear();  // (shard, key index)
-  scratch.Reset(track_lock_counts_);
+  scratch.Reset();
 
   // Phase 1: resolve every KeyState. Cached handles go direct — no
   // shard hash at all on the fast path; the remainder are bucketed by
@@ -1090,15 +1066,23 @@ void LockManager::ReleaseBatch(const TransactionId& txn,
   }
 
   // Phase 2: per key — uninflated keys resolve entirely under the MICRO
-  // bit (no key mutex, no wakeups to pend); inflated (or contended)
-  // keys fall to that key's mutex: inherit or purge, trace event,
+  // bit (no wakeups to pend; a key whose bit stays busy past the spin
+  // budget waits it out under its mutex rather than escalate); inflated
+  // keys take that key's mutex: inherit or purge, trace event,
   // wakeup/count intents into the scratch. No notifies. A key this
   // release quiesces deflates back to the fast regime.
   const bool fast = FastLanesEnabled();
   for (size_t i = 0; i < n; ++i) {
     KeyState& ks = *states[i];
-    if (fast && TryFastRelease(ks, txn, parent, scratch)) continue;
+    if (fast && TryFastRelease(ks, txn, parent, scratch,
+                               /*key_locked=*/false)) {
+      continue;
+    }
     std::lock_guard<std::mutex> lock(ks.m);
+    if (fast && TryFastRelease(ks, txn, parent, scratch,
+                               /*key_locked=*/true)) {
+      continue;
+    }
     EnsureInflatedLocked(ks);
     if (parent != nullptr) {
       CommitKeyLocked(ks, txn, *parent, scratch);
@@ -1108,12 +1092,8 @@ void LockManager::ReleaseBatch(const TransactionId& txn,
     MaybeDeflateLocked(ks);
   }
 
-  // Phase 3: every key mutex is dropped. One bulk policy call for the
-  // whole batch's lock counts, one striped-counter bump per stat,
-  // then the coalesced wakeups — woken waiters grab a free mutex.
-  if (!scratch.deltas.empty()) {
-    policy_->ApplyLockCountDeltas(scratch.deltas);
-  }
+  // Phase 3: every key mutex is dropped. One striped-counter bump per
+  // stat, then the coalesced wakeups — woken waiters grab a free mutex.
   if (scratch.inherited > 0) {
     stats_->Add(kStatLocksInherited, scratch.inherited);
   }

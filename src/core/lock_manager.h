@@ -13,11 +13,11 @@
 // Blocking: a conflicting request's fate is the ConflictPolicy's call
 // (EngineOptions::cc_protocol; see core/cc_policy.h): under detection it
 // waits on the key's condition variable, registered in the policy's
-// wait-for graph (or unregistered, bounded by the timeout, under
-// kTimeoutOnly); under wait-die an older requester waits and a younger
-// one dies; under no-wait every conflict dies. Deaths are retryable
-// Status::Deadlock, and always happen on the inflated slow path — a
-// policy abort is a conflict event, never a fast-path spin.
+// wait-for graph and bounded by lock_timeout; under wait-die an older
+// requester waits and a younger one dies; under no-wait every conflict
+// dies. Deaths are retryable Status::Deadlock, and always happen on the
+// inflated slow path — a policy abort is a conflict event, never a
+// fast-path spin.
 //
 // Lock word (two-regime concurrency control, DESIGN.md §5): each key
 // carries one atomic 64-bit word packing an INFLATED escalation bit, a
@@ -33,9 +33,13 @@
 // tracing, armed failpoints), the key *inflates*: a mutex-protected
 // slow-path entrant sets INFLATED under ks.m, after which fast paths
 // bail on sight and ks.m alone protects the key — exactly the original
-// design. A release that leaves a key with no holders and no waiters
-// *deflates* it back to the fast regime. `lock_word_enabled = false`
-// births every key inflated, recovering the pure-mutex manager.
+// design. A compatible request never escalates: a fast lane that loses
+// its bounded MICRO spin retries under ks.m, where the bit is waited out
+// instead (ks.m excludes inflation), and the key inflates only on a real
+// conflict or one of the Moss events above. A release that leaves a key
+// with no holders and no waiters *deflates* it back to the fast regime.
+// `lock_word_enabled = false` births every key inflated, recovering the
+// pure-mutex manager.
 //
 // Hot-path fast lane: a successful acquire can hand back a HeldLock
 // handle {key state, word snapshot, held modes}. Re-acquiring under a
@@ -69,8 +73,7 @@
 // mutex to take); inflated keys apply the INFORM_COMMIT_AT /
 // INFORM_ABORT_AT state change (inherit or purge) under that key's
 // mutex and record which keys' holder sets changed; (3) with no key
-// mutex held, apply the batch's lock-count deltas in one WaitGraph
-// call, bump the batch's counters once, and issue one cv.notify_all per
+// mutex held, bump the batch's counters once, and issue one cv.notify_all per
 // changed key (duplicate notify requests — e.g. a dual-mode read+write
 // holder — are coalesced first). Wakeups are requested only for keys
 // with a parked waiter: each KeyState counts waiters under its mutex,
@@ -403,11 +406,6 @@ class LockManager {
                                               const TransactionId& txn,
                                               bool exclusive);
 
-  /// Locks currently held by `txn` (0 unless the victim policy is
-  /// kFewestLocksHeld, the only mode that pays for the tracking). The
-  /// index itself lives in the detection policy, its only consumer.
-  uint64_t LocksHeldBy(const TransactionId& txn) const;
-
   /// Full per-key state dump for equivalence tests: holder sets, version
   /// entries, committed base and holder epoch (the word's seq field),
   /// copied under the key mutex plus — on an uninflated key — the micro
@@ -464,6 +462,17 @@ class LockManager {
   // structures calls this right after locking ks.m.
   void EnsureInflatedLocked(KeyState& ks);
 
+  // Escalate for an inflated-regime repeat lane: caller holds ks.m.
+  // Returns false — leaving the key alone — when the key is uninflated
+  // and a fast grant is allowed (the lane only lost a MICRO race; the
+  // full grant path retries it without escalating); otherwise inflates
+  // and returns true.
+  bool InflateForRepeatLocked(KeyState& ks);
+
+  // False while any subtree is doomed or the grant failpoint is armed:
+  // then every grant takes the mutex path.
+  bool FastGrantAllowed() const;
+
   // De-escalate: caller holds ks.m. If the key is inflated, has no
   // holders and no parked waiters (and the fast lanes are enabled),
   // refresh the value cache from the base and clear INFLATED.
@@ -474,19 +483,22 @@ class LockManager {
   // Returns false — escalating nothing by itself — on inflated or
   // contended words, on any conflict, when any subtree is doomed, or
   // when the grant failpoint is armed. `mutator` is required iff
-  // `exclusive`.
+  // `exclusive`. With `key_locked` (caller holds ks.m) a busy MICRO bit
+  // is waited out instead of counted against the spin budget.
   bool TryFastAcquire(KeyState& ks, const TransactionId& txn,
                       bool exclusive, const Mutator* mutator,
                       HeldLock* held,
-                      Result<std::optional<int64_t>>* result);
+                      Result<std::optional<int64_t>>* result,
+                      bool key_locked = false);
 
   // Micro-bit release of an uninflated key for ReleaseBatch phase 2
   // (commit when parent != nullptr, abort otherwise). No wakeups and no
   // trace events are ever owed here: waiters imply inflation, tracing
-  // disables the fast lanes.
+  // disables the fast lanes. `key_locked` as for TryFastAcquire.
   struct ReleaseScratch;
   bool TryFastRelease(KeyState& ks, const TransactionId& txn,
-                      const TransactionId* parent, ReleaseScratch& scratch);
+                      const TransactionId* parent, ReleaseScratch& scratch,
+                      bool key_locked);
 
   // The single batched commit/abort implementation behind all four
   // OnCommit/OnAbort overloads. `parent` is null for an abort; `key_of(i)`
@@ -544,11 +556,6 @@ class LockManager {
   Status WaitForGrant(KeyState& ks, std::unique_lock<std::mutex>& lk,
                       const TransactionId& txn, bool exclusive);
 
-  // Grant-path lock-count bookkeeping for kFewestLocksHeld victim
-  // selection; a single branch under every other policy. Release-side
-  // counts go through the batch's one ApplyLockCountDeltas call.
-  void NoteLockAcquired(const TransactionId& txn);
-
   // Park-table handshake for cancellation wakeups. Registration checks
   // the doomed roots atomically (same mutex), so a doom either sees the
   // parked entry and notifies its key, or the parker sees the root and
@@ -563,8 +570,6 @@ class LockManager {
   std::unique_ptr<ConflictPolicy> policy_;
   EngineTraceRecorder* recorder_ = nullptr;
   WriteAheadLog* wal_ = nullptr;
-
-  const bool track_lock_counts_;
 
   struct Shard {
     std::mutex m;

@@ -1,4 +1,9 @@
 // Engine configuration (RocksDB-style Options struct).
+//
+// The engine runs one algorithm: Moss nested read/write locking (§5.1).
+// The paper's comparison baselines — exclusive locking, flat 2PL and
+// serial execution — are workload transforms in bench/engine_harness.h,
+// not engine modes.
 #ifndef NESTEDTX_CORE_OPTIONS_H_
 #define NESTEDTX_CORE_OPTIONS_H_
 
@@ -23,44 +28,9 @@ enum class WalFsyncMode {
 
 const char* WalFsyncModeName(WalFsyncMode mode);
 
-/// Concurrency-control mode. kMossRW is the paper's algorithm; the others
-/// are the baselines the paper itself names (see DESIGN.md).
-enum class CcMode {
-  /// Moss nested read/write locking (§5.1): read locks shared, write locks
-  /// exclusive, conflicts judged against ancestors, locks inherited by the
-  /// parent on commit, discarded on abort.
-  kMossRW,
-  /// Exclusive nested locking ([LM]): every access takes a write lock.
-  /// Exactly what Moss's algorithm degenerates to with no read accesses.
-  kExclusive,
-  /// Flat two-phase locking: locks are taken directly in the name of the
-  /// top-level transaction; subtransaction structure is ignored, so a
-  /// subtransaction abort dooms the whole transaction (System R without
-  /// savepoints — the motivation contrast in the paper's introduction).
-  kFlat2PL,
-  /// Serial execution: one top-level transaction at a time (the serial
-  /// scheduler's discipline; the correctness yardstick and the
-  /// lower-bound baseline).
-  kSerial,
-};
-
-const char* CcModeName(CcMode mode);
-
-/// How lock waits are resolved.
-enum class DeadlockPolicy {
-  /// Maintain a wait-for graph; when a wait registration would close a
-  /// cycle, the configured VictimPolicy picks a transaction on the cycle
-  /// to receive Status::Deadlock (in a nested world only that subtree
-  /// retries).
-  kWaitForGraph,
-  /// No graph; waits time out after `lock_timeout` (deadlocks surface as
-  /// Status::TimedOut).
-  kTimeoutOnly,
-};
-
-/// Who dies when the wait-for graph finds a cycle (kWaitForGraph only).
-/// The paper leaves abort decisions to the scheduler; this knob is that
-/// scheduler freedom made concrete. Every choice preserves liveness —
+/// Who dies when kDetect's wait-for graph finds a cycle. The paper leaves
+/// abort decisions to the scheduler; this knob is that scheduler freedom
+/// made concrete. Every choice preserves liveness —
 /// some waiter on the cycle always aborts — they differ in how much work
 /// is redone.
 enum class VictimPolicy {
@@ -71,11 +41,6 @@ enum class VictimPolicy {
   /// youngest subtree carries the least completed work, so aborting it
   /// redoes the least. Ties go to the requester.
   kYoungestSubtree,
-  /// The cycle waiter holding the fewest locks dies (lock count proxies
-  /// for work done and for the blast radius of the retry). Ties go to
-  /// the requester. Requires the lock manager to track per-transaction
-  /// lock counts (only maintained under this policy).
-  kFewestLocksHeld,
 };
 
 const char* VictimPolicyName(VictimPolicy policy);
@@ -90,8 +55,8 @@ const char* VictimPolicyName(VictimPolicy policy);
 enum class CcProtocol {
   /// Deadlock detection (the default, and the engine's historical
   /// behaviour): conflicting requesters wait; a wait-for graph detects
-  /// cycles and the configured DeadlockPolicy / VictimPolicy knobs pick
-  /// who dies. The wait graph and detector are private to this protocol.
+  /// cycles and the configured VictimPolicy picks who dies. The wait
+  /// graph and detector are private to this protocol.
   kDetect,
   /// Wait-die prevention: an OLDER requester waits, a YOUNGER one dies
   /// immediately with Status::Deadlock (retried under a fresh, younger
@@ -129,14 +94,11 @@ enum class CcProtocol {
 const char* CcProtocolName(CcProtocol protocol);
 
 struct EngineOptions {
-  CcMode cc_mode = CcMode::kMossRW;
-  /// Conflict-scheduling protocol (see CcProtocol). deadlock_policy and
-  /// victim_policy are sub-knobs of kDetect and ignored by the
-  /// prevention protocols.
+  /// Conflict-scheduling protocol (see CcProtocol). victim_policy is a
+  /// sub-knob of kDetect and ignored by the prevention protocols.
   CcProtocol cc_protocol = CcProtocol::kDetect;
-  DeadlockPolicy deadlock_policy = DeadlockPolicy::kWaitForGraph;
   VictimPolicy victim_policy = VictimPolicy::kRequester;
-  /// Upper bound on any single lock wait (also the kTimeoutOnly horizon).
+  /// Upper bound on any single lock wait.
   std::chrono::milliseconds lock_timeout{2000};
   /// Number of lock-table shards (power of two).
   size_t lock_table_shards = 64;

@@ -41,8 +41,7 @@ class Savepoint {
   Status Release() { return child_->Commit(); }
 
   /// Discard everything done since Begin; the parent continues unharmed
-  /// (under CcMode::kMossRW / kExclusive; flat 2PL has no savepoints —
-  /// rollback dooms the whole transaction, which is the paper's point).
+  /// (the partial abort flat transactions lack — the paper's point).
   Status Rollback() { return child_->Abort(); }
 
   /// True once Release() or Rollback() has been called (the destructor

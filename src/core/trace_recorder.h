@@ -18,10 +18,6 @@
 // The recorded sequence, sorted by its global sequence numbers, is a
 // schedule of the R/W Locking system over the SystemType reconstructed by
 // BuildSystemType() — which is what CheckSeriallyCorrectForAll consumes.
-//
-// Supported modes: kMossRW, kExclusive, kSerial. (kFlat2PL takes locks in
-// the top-level's name and has no per-subtransaction recovery, so it does
-// not correspond to a R/W Locking system.)
 #ifndef NESTEDTX_CORE_TRACE_RECORDER_H_
 #define NESTEDTX_CORE_TRACE_RECORDER_H_
 

@@ -29,28 +29,12 @@ void InsertKey(std::vector<LockManager::KeyHold>& keys,
 
 }  // namespace
 
-const char* CcModeName(CcMode mode) {
-  switch (mode) {
-    case CcMode::kMossRW:
-      return "moss-rw";
-    case CcMode::kExclusive:
-      return "exclusive";
-    case CcMode::kFlat2PL:
-      return "flat-2pl";
-    case CcMode::kSerial:
-      return "serial";
-  }
-  return "?";
-}
-
 const char* VictimPolicyName(VictimPolicy policy) {
   switch (policy) {
     case VictimPolicy::kRequester:
       return "requester";
     case VictimPolicy::kYoungestSubtree:
       return "youngest-subtree";
-    case VictimPolicy::kFewestLocksHeld:
-      return "fewest-locks";
   }
   return "?";
 }
@@ -127,39 +111,10 @@ Transaction::~Transaction() {
   }
 }
 
-Transaction* Transaction::TopLevel() {
-  Transaction* t = this;
-  while (t->parent_ != nullptr) t = t->parent_;
-  return t;
-}
-
-bool Transaction::doomed() const {
-  if (doomed_.load()) return true;
-  // Only flat 2PL ever dooms a tree; skip the ancestor walk otherwise.
-  if (manager_->options().cc_mode != CcMode::kFlat2PL) return false;
-  const Transaction* t = parent_;
-  while (t != nullptr) {
-    if (t->doomed_.load()) return true;
-    t = t->parent_;
-  }
-  return false;
-}
-
-const TransactionId& Transaction::LockOwner() const {
-  if (manager_->options().cc_mode != CcMode::kFlat2PL) return id_;
-  const Transaction* t = this;
-  while (t->parent_ != nullptr) t = t->parent_;
-  return t->id_;
-}
-
 Status Transaction::CheckActive() const {
   if (returned_.load()) {
     return Status::FailedPrecondition(
         StrCat(id_, " has already returned"));
-  }
-  if (doomed()) {
-    return Status::Aborted(
-        StrCat(id_, " is doomed (flat-mode subtransaction abort)"));
   }
   if (manager_->locks().IsDoomed(id_)) {
     return Status::Cancelled(
@@ -213,7 +168,7 @@ Result<std::optional<int64_t>> Transaction::LockedRead(
   if (have_held) {
     const LockManager::HeldLock before = held;
     Result<std::optional<int64_t>> r =
-        locks.ReacquireRead(held, LockOwner(), trace);
+        locks.ReacquireRead(held, id_, trace);
     if (r.ok() &&
         (held.word != before.word || held.read != before.read ||
          held.write != before.write)) {
@@ -222,7 +177,7 @@ Result<std::optional<int64_t>> Transaction::LockedRead(
     return r;
   }
   Result<std::optional<int64_t>> r =
-      locks.AcquireRead(LockOwner(), key, trace, &held);
+      locks.AcquireRead(id_, key, trace, &held);
   if (r.ok()) CacheHeld(idx, key, held);
   return r;
 }
@@ -236,7 +191,7 @@ Result<std::optional<int64_t>> Transaction::LockedWrite(
   if (have_held) {
     const LockManager::HeldLock before = held;
     Result<std::optional<int64_t>> r =
-        locks.ReacquireWrite(held, LockOwner(), m, trace);
+        locks.ReacquireWrite(held, id_, m, trace);
     if (r.ok() &&
         (held.word != before.word || held.read != before.read ||
          held.write != before.write)) {
@@ -245,7 +200,7 @@ Result<std::optional<int64_t>> Transaction::LockedWrite(
     return r;
   }
   Result<std::optional<int64_t>> r =
-      locks.AcquireWrite(LockOwner(), key, m, trace, &held);
+      locks.AcquireWrite(id_, key, m, trace, &held);
   if (r.ok()) CacheHeld(idx, key, held);
   return r;
 }
@@ -271,16 +226,12 @@ Result<std::optional<int64_t>> Transaction::TryGet(const std::string& key) {
   // lane in place on the cached handle. A hit proves the handle is
   // current, so none of the general path's handle copy-out, access-id
   // bookkeeping, or write-back happens. The guard re-states CheckActive
-  // with plain loads (no Status construction on the hot path): flat-2PL
-  // dooming needs the ancestor walk, so that mode — like exclusive-read
-  // mode and sampled spans (their wait accounting must stay complete) —
-  // takes the general path below. The lane itself bails when tracing is
-  // on or the word has moved.
-  const CcMode cc_mode = manager_->options().cc_mode;
-  if (manager_->locks().FastReadLanePossible() &&
-      cc_mode != CcMode::kExclusive && cc_mode != CcMode::kFlat2PL &&
-      !span_sampled_ && !returned_.load(std::memory_order_relaxed) &&
-      !doomed_.load(std::memory_order_relaxed) &&
+  // with plain loads (no Status construction on the hot path); sampled
+  // spans take the general path below (their wait accounting must stay
+  // complete). The lane itself bails when tracing is on or the word has
+  // moved.
+  if (manager_->locks().FastReadLanePossible() && !span_sampled_ &&
+      !returned_.load(std::memory_order_relaxed) &&
       !manager_->locks().IsDoomed(id_)) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = FindKey(keys_, key);
@@ -290,7 +241,6 @@ Result<std::optional<int64_t>> Transaction::TryGet(const std::string& key) {
     }
   }
   RETURN_IF_ERROR(CheckActive());
-  const bool exclusive_reads = cc_mode == CcMode::kExclusive;
   AccessTraceInfo info;
   LockManager::HeldLock held;
   bool have_held = false;
@@ -298,13 +248,7 @@ Result<std::optional<int64_t>> Transaction::TryGet(const std::string& key) {
   const AccessTraceInfo* trace =
       PrepareAccess(key, ops::kRead, 0, &info, &held, &have_held, &idx);
   Result<std::optional<int64_t>> r =
-      exclusive_reads
-          // Exclusive locking: reads take write locks; the version copy
-          // is the model's write-access behaviour.
-          ? LockedWrite(
-                key, [](std::optional<int64_t> v) { return v; }, trace,
-                held, have_held, idx)
-          : LockedRead(key, trace, held, have_held, idx);
+      LockedRead(key, trace, held, have_held, idx);
   if (r.ok() && trace != nullptr) {
     AddToAggregate(r->value_or(kAbsentValue));
   }
@@ -516,7 +460,7 @@ Status Transaction::AbortAfterFailedAppend(
   manager_->locks().policy().OnTransactionEnd(id_);
   EngineTraceRecorder* rec = manager_->locks().trace_recorder();
   if (rec != nullptr) rec->Emit(Event::Abort(id_));
-  manager_->locks().OnAbort(LockOwner(), keys);
+  manager_->locks().OnAbort(id_, keys);
   if (timed) {
     const uint64_t end_ns = MonotonicNowNs();
     metrics.Record(kHistAbortReleaseNs, end_ns - commit_req_ns);
@@ -527,9 +471,6 @@ Status Transaction::AbortAfterFailedAppend(
   manager_->stats().Add(kStatTxnsAborted);
   manager_->stats().Add(kStatTopLevelAborted);
   manager_->locks().ClearDoom(id_);
-  if (manager_->options().cc_mode == CcMode::kSerial) {
-    manager_->ReleaseSerialGate();
-  }
   manager_->NoteTopLevelReturn();
   return cause;
 }
@@ -553,7 +494,6 @@ Status Transaction::Commit() {
 
   if (occ_) return CommitOcc(commit_req_ns);
 
-  const CcMode mode = manager_->options().cc_mode;
   // No wait-graph sweep here: a committing transaction has returned from
   // every access, and each WaitForGrant exit clears its entry via a
   // scoped guard — taking the global graph mutex on the commit hot path
@@ -620,7 +560,6 @@ Status Transaction::Commit() {
     if (rec != nullptr) rec->Emit(Event::ReportCommit(id_, my_aggregate));
     manager_->stats().Add(kStatTxnsCommitted);
     manager_->stats().Add(kStatTopLevelCommitted);
-    if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
     manager_->NoteTopLevelReturn();
     return durable;
   }
@@ -629,14 +568,8 @@ Status Transaction::Commit() {
   // same vector feeds both the batched release and the parent merge —
   // no deep copy of the key strings on the commit path.
   const std::vector<LockManager::KeyHold> keys = TakeKeys();
-  if (mode == CcMode::kFlat2PL) {
-    // Locks already belong to the top-level id; just hand the key
-    // inventory up so the top-level release sees everything.
-    MergeKeysIntoParent(keys);
-  } else {
-    manager_->locks().OnCommit(id_, parent_->id_, keys);
-    MergeKeysIntoParent(keys);
-  }
+  manager_->locks().OnCommit(id_, parent_->id_, keys);
+  MergeKeysIntoParent(keys);
   // The WAL face of lock inheritance: the child's write image folds into
   // the parent's (child entries win), so only the top-level commit ever
   // reaches the log — exactly the paper's "only top-level commit is
@@ -644,11 +577,7 @@ Status Transaction::Commit() {
   if (wal != nullptr) MergeWalWritesIntoParent();
   if (timed) {
     const uint64_t end_ns = MonotonicNowNs();
-    // Flat-mode child commits release nothing (locks stay with the
-    // top-level owner), so they contribute no release sample.
-    if (mode != CcMode::kFlat2PL) {
-      metrics.Record(kHistCommitReleaseNs, end_ns - commit_req_ns);
-    }
+    metrics.Record(kHistCommitReleaseNs, end_ns - commit_req_ns);
     FinishSpan(end_ns, keys.size(), Status::Code::kOk);
   }
   if (rec != nullptr) {
@@ -674,38 +603,22 @@ Status Transaction::Abort() {
   const uint64_t abort_req_ns = timed ? MonotonicNowNs() : 0;
   if (span_sampled_) span_.commit_request_ns = abort_req_ns;
 
-  const CcMode mode = manager_->options().cc_mode;
   // Wait-registry hygiene on teardown. Every WaitForGrant exit already
   // clears its own entry via a scoped guard (grant, deadlock, timeout,
   // injected fault all audited), so this is a defensive sweep for a
   // handle torn down with an operation's result still in flight (a no-op
-  // for prevention policies, which keep no registry). Skipped for
-  // flat-mode subtransactions, whose waits run under the shared
-  // top-level id that siblings may still be using.
-  if (parent_ == nullptr || mode != CcMode::kFlat2PL) {
-    manager_->locks().policy().OnTransactionEnd(id_);
-  }
+  // for prevention policies, which keep no registry).
+  manager_->locks().policy().OnTransactionEnd(id_);
   EngineTraceRecorder* rec = manager_->locks().trace_recorder();
   // OCC children are invisible to the trace (see BeginChild); only a
   // top-level OCC abort reports, matching its Create from Begin.
   if (occ_ && parent_ != nullptr) rec = nullptr;
   if (rec != nullptr) rec->Emit(Event::Abort(id_));
   const std::vector<LockManager::KeyHold> keys = TakeKeys();
-  if (mode == CcMode::kFlat2PL && parent_ != nullptr) {
-    // No savepoints: a subtransaction abort cannot be undone in place, so
-    // the whole top-level transaction is doomed. Its keys stay with the
-    // top-level owner and are rolled back when the top aborts.
-    TopLevel()->doomed_.store(true);
-    MergeKeysIntoParent(keys);
-  } else {
-    manager_->locks().OnAbort(LockOwner(), keys);
-  }
+  manager_->locks().OnAbort(id_, keys);
   if (timed) {
     const uint64_t end_ns = MonotonicNowNs();
-    // A flat-mode child abort dooms the tree but releases nothing.
-    if (!(mode == CcMode::kFlat2PL && parent_ != nullptr)) {
-      metrics.Record(kHistAbortReleaseNs, end_ns - abort_req_ns);
-    }
+    metrics.Record(kHistAbortReleaseNs, end_ns - abort_req_ns);
     if (parent_ == nullptr) metrics.Record(kHistTxnNs, end_ns - begin_ns_);
     FinishSpan(end_ns, keys.size(), Status::Code::kAborted);
   }
@@ -718,7 +631,6 @@ Status Transaction::Abort() {
   manager_->locks().ClearDoom(id_);
   if (parent_ == nullptr) {
     manager_->stats().Add(kStatTopLevelAborted);
-    if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
     manager_->NoteTopLevelReturn();
   } else {
     parent_->active_children_.fetch_sub(1);
@@ -1074,7 +986,6 @@ Status Transaction::CommitOcc(uint64_t commit_req_ns) {
     s = manager_->locks().OccCommit(st->writes, st->reads, id_[0],
                                     wal != nullptr ? &wal_ticket : nullptr);
   }
-  const CcMode mode = manager_->options().cc_mode;
   if (s.ok()) {
     if (rec != nullptr) {
       rec->Emit(Event::RequestCommit(id_, my_aggregate));
@@ -1099,7 +1010,6 @@ Status Transaction::CommitOcc(uint64_t commit_req_ns) {
     stats.Add(kStatOccCommits);
     stats.Add(kStatTxnsCommitted);
     stats.Add(kStatTopLevelCommitted);
-    if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
     manager_->NoteTopLevelReturn();
     return durable;
   }
@@ -1122,7 +1032,6 @@ Status Transaction::CommitOcc(uint64_t commit_req_ns) {
   stats.Add(kStatTxnsAborted);
   stats.Add(kStatTopLevelAborted);
   manager_->locks().ClearDoom(id_);
-  if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
   manager_->NoteTopLevelReturn();
   return s;
 }
@@ -1161,20 +1070,6 @@ TransactionManager::TransactionManager(const EngineOptions& options)
     wal_ = std::make_unique<WriteAheadLog>(options_, &stats_, &metrics_);
     locks_.SetWal(wal_.get());
   }
-}
-
-void TransactionManager::AcquireSerialGate() {
-  std::unique_lock<std::mutex> lk(gate_mutex_);
-  gate_cv_.wait(lk, [&] { return !gate_busy_; });
-  gate_busy_ = true;
-}
-
-void TransactionManager::ReleaseSerialGate() {
-  {
-    std::lock_guard<std::mutex> lk(gate_mutex_);
-    gate_busy_ = false;
-  }
-  gate_cv_.notify_one();
 }
 
 Status TransactionManager::AdmitTopLevel() {
@@ -1311,7 +1206,6 @@ std::unique_ptr<Transaction> TransactionManager::Begin() {
     std::lock_guard<std::mutex> lk(failed_mutex_);
     if (!failed_status_.ok()) return nullptr;
   }
-  if (options_.cc_mode == CcMode::kSerial) AcquireSerialGate();
   bool occ = false;
   if (options_.cc_protocol == CcProtocol::kOcc) {
     occ = true;

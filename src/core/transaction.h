@@ -10,7 +10,7 @@
 //
 // Structural rules (enforced): a transaction returns (commits or aborts)
 // exactly once, only after all of its children have returned; operations
-// on a returned or doomed transaction fail. A handle destroyed without
+// on a returned or cancelled transaction fail. A handle destroyed without
 // returning aborts automatically (RAII).
 //
 // Hot path: each handle keeps a held-lock cache (key -> HeldLock handle
@@ -20,7 +20,7 @@
 // the holder-set insert (see lock_manager.h for the epoch-based safety
 // argument).
 //
-// Concurrency-control behaviour per CcMode is documented in options.h.
+// Conflict scheduling per CcProtocol is documented in options.h.
 #ifndef NESTEDTX_CORE_TRANSACTION_H_
 #define NESTEDTX_CORE_TRANSACTION_H_
 
@@ -48,8 +48,7 @@ class Transaction {
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
 
-  /// Read `key`; NotFound if absent. Takes a read lock (kMossRW) or a
-  /// write lock (kExclusive).
+  /// Read `key`; NotFound if absent. Takes a read lock.
   Result<int64_t> Get(const std::string& key);
 
   /// Read `key`, nullopt if absent (same locking as Get).
@@ -81,8 +80,7 @@ class Transaction {
   /// active or after the transaction returned.
   Status Commit();
 
-  /// Abort: this subtree's effects are discarded. Under kFlat2PL a child
-  /// abort also dooms the whole top-level transaction (no savepoints).
+  /// Abort: this subtree's effects are discarded; the parent lives on.
   /// Clears any cancellation (Cancel) pending on this transaction's id.
   Status Abort();
 
@@ -108,19 +106,12 @@ class Transaction {
   bool returned() const { return returned_.load(); }
   /// Children begun and not yet returned (diagnostic; racy by nature).
   int active_children() const { return active_children_.load(); }
-  /// True if a flat-mode subtransaction abort doomed this transaction
-  /// tree; all further operations fail and only Abort() is permitted.
-  bool doomed() const;
 
  private:
   friend class TransactionManager;
 
   Transaction(TransactionManager* manager, Transaction* parent,
               TransactionId id, bool occ);
-
-  /// The transaction id locks are taken under (self, or the top-level
-  /// ancestor in kFlat2PL).
-  const TransactionId& LockOwner() const;
 
   Status CheckActive() const;
   /// Swap out this transaction's key inventory (it becomes empty).
@@ -129,7 +120,6 @@ class Transaction {
   /// along). The same taken vector serves the batched release first, so
   /// the commit path never deep-copies the key strings.
   void MergeKeysIntoParent(const std::vector<LockManager::KeyHold>& keys);
-  Transaction* TopLevel();
 
   // --- Durability (wal_enabled only; see core/wal.h) ---
   /// Record a successful locking-path write in the commit image (last
@@ -262,8 +252,7 @@ class Transaction {
   std::vector<WalWrite> wal_writes_;
   std::atomic<int> active_children_{0};
   std::atomic<bool> returned_{false};
-  std::atomic<bool> doomed_{false};   // kFlat2PL subtree failure
-  Value aggregate_ = 0;               // guarded by mutex_; tracing only
+  Value aggregate_ = 0;  // guarded by mutex_; tracing only
 
   /// True when this handle executes optimistically (kOcc always; under
   /// kAdaptive, the controller's phase at top-level Begin). Children
@@ -288,11 +277,10 @@ class TransactionManager {
  public:
   explicit TransactionManager(const EngineOptions& options);
 
-  /// Begin a top-level transaction. Under kSerial this blocks until the
-  /// engine-wide gate is free. Returns nullptr once the engine is marked
-  /// failed (MarkFailed) — e.g. after a recovery that died mid-replay —
-  /// so callers never run over half-applied state; failure() carries the
-  /// reason.
+  /// Begin a top-level transaction. Returns nullptr once the engine is
+  /// marked failed (MarkFailed) — e.g. after a recovery that died
+  /// mid-replay — so callers never run over half-applied state; failure()
+  /// carries the reason.
   std::unique_ptr<Transaction> Begin();
 
   /// Poison the engine: every subsequent Begin() returns nullptr. The
@@ -323,11 +311,6 @@ class TransactionManager {
 
  private:
   friend class Transaction;
-
-  // kSerial gate (semaphore semantics: release may happen on a different
-  // thread than acquire, so a plain mutex would be UB).
-  void AcquireSerialGate();
-  void ReleaseSerialGate();
 
   // --- kAdaptive controller (see options.h adaptive_* knobs) ---
   // Every adaptive_epoch_txns top-level begins, the controller compares
@@ -366,10 +349,6 @@ class TransactionManager {
   // Engine failure state (MarkFailed / failure / Begin's refusal).
   mutable std::mutex failed_mutex_;
   Status failed_status_ = Status::OK();
-
-  std::mutex gate_mutex_;
-  std::condition_variable gate_cv_;
-  bool gate_busy_ = false;
 
   // Admission gate (see AdmitTopLevel).
   std::mutex admit_mutex_;

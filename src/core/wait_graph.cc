@@ -98,7 +98,7 @@ bool WaitGraph::FindCycle(const TransactionId& from,
 }
 
 TransactionId WaitGraph::ChooseVictim(
-    const TransactionId& requester, uint64_t requester_locks,
+    const TransactionId& requester,
     const std::vector<TransactionId>& cycle_waiters) const {
   switch (policy_) {
     case VictimPolicy::kRequester:
@@ -107,18 +107,6 @@ TransactionId WaitGraph::ChooseVictim(
       TransactionId best = requester;
       for (const TransactionId& cand : cycle_waiters) {
         if (YoungerSubtree(cand, best)) best = cand;
-      }
-      return best;
-    }
-    case VictimPolicy::kFewestLocksHeld: {
-      TransactionId best = requester;
-      uint64_t best_locks = requester_locks;
-      for (const TransactionId& cand : cycle_waiters) {
-        auto it = waiters_.find(cand);
-        if (it != waiters_.end() && it->second.locks_held < best_locks) {
-          best = cand;
-          best_locks = it->second.locks_held;
-        }
       }
       return best;
     }
@@ -144,7 +132,6 @@ Status WaitGraph::AddWait(const TransactionId& waiter,
   node.holders.clear();
   node.waiter_mutex = info.mutex;
   node.waiter_cv = info.cv;
-  node.locks_held = info.locks_held;
   if (useful.empty()) return Status::OK();
 
   // Would any holder's blocked-set reach back to the waiter? Negative
@@ -159,8 +146,7 @@ Status WaitGraph::AddWait(const TransactionId& waiter,
       ++i;
       continue;
     }
-    const TransactionId victim =
-        ChooseVictim(waiter, info.locks_held, cycle_waiters);
+    const TransactionId victim = ChooseVictim(waiter, cycle_waiters);
     if (victim == waiter) {
       // Keep the entry only if a concurrent check already victimized us
       // (the pending mark must survive until TakeVictim).
@@ -212,40 +198,6 @@ std::vector<TransactionId> WaitGraph::WaitingOn(
   auto it = waiters_.find(waiter);
   if (it == waiters_.end()) return {};
   return it->second.holders;
-}
-
-void WaitGraph::NoteLockAcquired(const TransactionId& txn) {
-  std::lock_guard<std::mutex> lock(counts_mutex_);
-  ++lock_counts_[txn];
-}
-
-void WaitGraph::ApplyLockCountDeltas(
-    const std::vector<LockCountDelta>& deltas) {
-  std::lock_guard<std::mutex> lock(counts_mutex_);
-  for (const LockCountDelta& d : deltas) {
-    auto it = lock_counts_.find(d.first);
-    if (d.second > 0) {
-      if (it == lock_counts_.end()) {
-        lock_counts_.emplace(d.first, static_cast<uint64_t>(d.second));
-      } else {
-        it->second += static_cast<uint64_t>(d.second);
-      }
-      continue;
-    }
-    if (it == lock_counts_.end()) continue;
-    const uint64_t dec = static_cast<uint64_t>(-d.second);
-    if (it->second <= dec) {
-      lock_counts_.erase(it);
-    } else {
-      it->second -= dec;
-    }
-  }
-}
-
-uint64_t WaitGraph::LocksHeldBy(const TransactionId& txn) const {
-  std::lock_guard<std::mutex> lock(counts_mutex_);
-  auto it = lock_counts_.find(txn);
-  return it == lock_counts_.end() ? 0 : it->second;
 }
 
 }  // namespace nestedtx

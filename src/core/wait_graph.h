@@ -23,9 +23,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
-#include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "core/options.h"
@@ -43,8 +41,6 @@ class WaitGraph {
   struct WaiterInfo {
     std::mutex* mutex = nullptr;
     std::condition_variable* cv = nullptr;
-    /// Victim weight under VictimPolicy::kFewestLocksHeld (locks held).
-    uint64_t locks_held = 0;
   };
 
   /// A victim notification the caller must deliver: acquire and release
@@ -97,34 +93,11 @@ class WaitGraph {
   /// Current outgoing edges of `waiter` (diagnostics/tests).
   std::vector<TransactionId> WaitingOn(const TransactionId& waiter) const;
 
-  // -------------------------------------------------------------------
-  // Per-transaction held-lock counts: the victim weight the
-  // kFewestLocksHeld policy consults. The index lives here (not in the
-  // lock manager) because the wait graph is its only consumer; it is
-  // maintained only when the lock manager enables it, so every other
-  // policy pays nothing. Counts are guarded by their own mutex so grant
-  // traffic never contends with cycle checks.
-  // -------------------------------------------------------------------
-
-  /// One grant for `txn` (lock-manager grant path).
-  void NoteLockAcquired(const TransactionId& txn);
-
-  /// Signed bulk count adjustment, one mutex round-trip for a whole
-  /// commit/abort batch: a transaction releasing K locks and passing J of
-  /// them to its parent is two deltas, not K+J per-key calls. Entries
-  /// dropping to (or below) zero are erased.
-  using LockCountDelta = std::pair<TransactionId, int64_t>;
-  void ApplyLockCountDeltas(const std::vector<LockCountDelta>& deltas);
-
-  /// Locks currently counted for `txn` (0 when tracking is off).
-  uint64_t LocksHeldBy(const TransactionId& txn) const;
-
  private:
   struct Node {
     std::vector<TransactionId> holders;  // sorted unique outgoing edges
     std::mutex* waiter_mutex = nullptr;
     std::condition_variable* waiter_cv = nullptr;
-    uint64_t locks_held = 0;
     bool victim = false;  // chosen as victim; pending TakeVictim pickup
   };
   using NodeMap = std::map<TransactionId, Node>;
@@ -148,16 +121,12 @@ class WaitGraph {
   // waiters, per policy_. Ties always go to the requester (cheapest: no
   // cross-thread signalling). Caller holds mutex_.
   TransactionId ChooseVictim(
-      const TransactionId& requester, uint64_t requester_locks,
+      const TransactionId& requester,
       const std::vector<TransactionId>& cycle_waiters) const;
 
   mutable std::mutex mutex_;
   VictimPolicy policy_ = VictimPolicy::kRequester;
   NodeMap waiters_;  // lexicographic order == tree pre-order
-
-  mutable std::mutex counts_mutex_;
-  std::unordered_map<TransactionId, uint64_t, TransactionIdHash>
-      lock_counts_;
 };
 
 }  // namespace nestedtx

@@ -172,12 +172,10 @@ void CheckChaosDrained(Database& db, const ChaosSpec& spec,
       << snap.ToString();
 }
 
-EngineOptions ChaosOptions(DeadlockPolicy dp) {
+EngineOptions ChaosOptions() {
   EngineOptions o;
-  o.deadlock_policy = dp;
   o.victim_policy = VictimPolicy::kYoungestSubtree;
-  o.lock_timeout = std::chrono::milliseconds(
-      dp == DeadlockPolicy::kWaitForGraph ? 2000 : 25);
+  o.lock_timeout = std::chrono::milliseconds(2000);
   return o;
 }
 
@@ -204,7 +202,7 @@ class ChaosStormTest : public ::testing::Test {
 
 TEST_F(ChaosStormTest, FailureStormGraphPolicy) {
   ArmChaosSites(0xE12u);
-  Database db(ChaosOptions(DeadlockPolicy::kWaitForGraph));
+  Database db(ChaosOptions());
   RetryExecutor ex(&db, ChaosPolicy());
   ChaosSpec spec;
   spec.txns_per_thread = 100 * StressScale();
@@ -223,32 +221,12 @@ TEST_F(ChaosStormTest, FailureStormGraphPolicy) {
   EXPECT_GT(snap.retries_attempted, 0u) << snap.ToString();
 }
 
-TEST_F(ChaosStormTest, FailureStormTimeoutOnlyPolicy) {
-  // DeadlockPolicy::kTimeoutOnly under armed failpoints: no wait graph,
-  // so injected and real deadlocks alike surface as timeout races, and
-  // cancellation wakeups must work without WaiterInfo bookkeeping.
-  ArmChaosSites(0x712u);
-  Database db(ChaosOptions(DeadlockPolicy::kTimeoutOnly));
-  RetryExecutor ex(&db, ChaosPolicy());
-  ChaosSpec spec;
-  spec.txns_per_thread = 40 * StressScale();
-  spec.writes_per_txn = 2;
-  ChaosOutcome out = RunChaosStorm(db, ex, spec);
-  // Progress under pure timeouts is slower, so completion (no hang),
-  // accounting, and atomicity are the assertions, not zero give-ups.
-  EXPECT_EQ(out.committed + out.gave_up + out.shed,
-            uint64_t{8} * static_cast<uint64_t>(spec.txns_per_thread));
-  EXPECT_EQ(out.shed, 0u);
-  CheckChaosDrained(db, spec, out);
-  EXPECT_GE(FailPoints::InjectionCount(), 500u);
-}
-
 TEST_F(ChaosStormTest, FailureStormWithBudgetAndAdmission) {
   // Retry budgets + the admission gate under the same storm: sheds are
   // load regulation, not lost work — every shed is accounted, admitted
   // work still leaves exact effects.
   ArmChaosSites(0xAD317u);
-  EngineOptions o = ChaosOptions(DeadlockPolicy::kWaitForGraph);
+  EngineOptions o = ChaosOptions();
   o.admission_max_inflight = 4;
   o.admission_max_queued = 2;
   Database db(o);
@@ -341,29 +319,25 @@ void ValidateTrace(Database& db) {
 }
 
 TEST_F(ChaosStormTest, TracedFailureStormSeriallyCorrect) {
-  for (DeadlockPolicy dp :
-       {DeadlockPolicy::kWaitForGraph, DeadlockPolicy::kTimeoutOnly}) {
-    SCOPED_TRACE(dp == DeadlockPolicy::kWaitForGraph ? "graph" : "timeout");
-    ArmChaosSites(0x7EA34u);
-    EngineOptions o = ChaosOptions(dp);
-    o.lock_timeout = std::chrono::milliseconds(300);
-    Database db(o);
-    ASSERT_TRUE(db.EnableTracing().ok());
-    RetryExecutor ex(&db, ChaosPolicy());
-    // Kept small: checker cost grows with schedule length, and every
-    // injected fault adds an aborted attempt's events.
-    ChaosSpec spec;
-    spec.threads = 3;
-    spec.txns_per_thread = 6;
-    spec.num_keys = 3;
-    spec.writes_per_txn = 2;
-    ChaosOutcome out = RunChaosStorm(db, ex, spec);
-    FailPoints::DisableAll();
-    EXPECT_EQ(out.committed + out.gave_up + out.shed,
-              uint64_t{3} * static_cast<uint64_t>(spec.txns_per_thread));
-    CheckChaosDrained(db, spec, out);
-    ValidateTrace(db);
-  }
+  ArmChaosSites(0x7EA34u);
+  EngineOptions o = ChaosOptions();
+  o.lock_timeout = std::chrono::milliseconds(300);
+  Database db(o);
+  ASSERT_TRUE(db.EnableTracing().ok());
+  RetryExecutor ex(&db, ChaosPolicy());
+  // Kept small: checker cost grows with schedule length, and every
+  // injected fault adds an aborted attempt's events.
+  ChaosSpec spec;
+  spec.threads = 3;
+  spec.txns_per_thread = 6;
+  spec.num_keys = 3;
+  spec.writes_per_txn = 2;
+  ChaosOutcome out = RunChaosStorm(db, ex, spec);
+  FailPoints::DisableAll();
+  EXPECT_EQ(out.committed + out.gave_up + out.shed,
+            uint64_t{3} * static_cast<uint64_t>(spec.txns_per_thread));
+  CheckChaosDrained(db, spec, out);
+  ValidateTrace(db);
 }
 
 }  // namespace

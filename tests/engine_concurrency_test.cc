@@ -1,5 +1,5 @@
 // Multithreaded engine tests: invariant preservation under contention,
-// deadlock resolution, partial-abort semantics, and cross-mode agreement.
+// deadlock resolution and partial-abort semantics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,16 +13,15 @@
 namespace nestedtx {
 namespace {
 
-EngineOptions Opts(CcMode mode) {
+EngineOptions Opts() {
   EngineOptions o;
-  o.cc_mode = mode;
   o.lock_timeout = std::chrono::milliseconds(500);
   return o;
 }
 
 // Counter increments from many threads must never lose an update.
-void RunCounterTortureTest(CcMode mode) {
-  Database db(Opts(mode));
+void RunCounterTortureTest() {
+  Database db(Opts());
   db.Preload("c", 0);
   constexpr int kThreads = 8;
   constexpr int kIncrementsPerThread = 200;
@@ -45,23 +44,14 @@ void RunCounterTortureTest(CcMode mode) {
 }
 
 TEST(EngineConcurrencyTest, CounterNoLostUpdatesMoss) {
-  RunCounterTortureTest(CcMode::kMossRW);
-}
-TEST(EngineConcurrencyTest, CounterNoLostUpdatesExclusive) {
-  RunCounterTortureTest(CcMode::kExclusive);
-}
-TEST(EngineConcurrencyTest, CounterNoLostUpdatesFlat) {
-  RunCounterTortureTest(CcMode::kFlat2PL);
-}
-TEST(EngineConcurrencyTest, CounterNoLostUpdatesSerial) {
-  RunCounterTortureTest(CcMode::kSerial);
+  RunCounterTortureTest();
 }
 
 // Bank: random transfers between accounts; the total must be conserved,
 // even with deadlocks, retries, and nested structure (each transfer is a
 // subtransaction pair: withdraw + deposit).
-void RunBankTortureTest(CcMode mode, bool nested) {
-  Database db(Opts(mode));
+void RunBankTortureTest(bool nested) {
+  Database db(Opts());
   constexpr int kAccounts = 8;
   constexpr int64_t kInitial = 100;
   for (int i = 0; i < kAccounts; ++i) {
@@ -107,22 +97,16 @@ void RunBankTortureTest(CcMode mode, bool nested) {
 }
 
 TEST(EngineConcurrencyTest, BankConservationMossFlatBody) {
-  RunBankTortureTest(CcMode::kMossRW, /*nested=*/false);
+  RunBankTortureTest(/*nested=*/false);
 }
 TEST(EngineConcurrencyTest, BankConservationMossNested) {
-  RunBankTortureTest(CcMode::kMossRW, /*nested=*/true);
-}
-TEST(EngineConcurrencyTest, BankConservationExclusive) {
-  RunBankTortureTest(CcMode::kExclusive, /*nested=*/false);
-}
-TEST(EngineConcurrencyTest, BankConservationSerial) {
-  RunBankTortureTest(CcMode::kSerial, /*nested=*/false);
+  RunBankTortureTest(/*nested=*/true);
 }
 
 TEST(EngineConcurrencyTest, ConcurrentChildrenOfOneParent) {
   // The point of nesting: siblings run concurrently within one
   // transaction, each on its own thread, writing disjoint keys.
-  Database db(Opts(CcMode::kMossRW));
+  Database db(Opts());
   auto parent = db.Begin();
   constexpr int kChildren = 8;
   std::vector<std::thread> threads;
@@ -149,7 +133,7 @@ TEST(EngineConcurrencyTest, SiblingsShareParentContext) {
   // Sibling subtransactions of one parent may both write the same key:
   // after the first commits to the parent, the lock is at the parent
   // (an ancestor of the second sibling), so the second proceeds.
-  Database db(Opts(CcMode::kMossRW));
+  Database db(Opts());
   auto parent = db.Begin();
   {
     auto c1 = parent->BeginChild();
@@ -170,7 +154,7 @@ TEST(EngineConcurrencyTest, SiblingsShareParentContext) {
 }
 
 TEST(EngineConcurrencyTest, DeadlockResolvedByVictimAbort) {
-  Database db(Opts(CcMode::kMossRW));
+  Database db(Opts());
   db.Preload("a", 0);
   db.Preload("b", 0);
   // Two transactions locking a,b in opposite orders, many rounds; with
@@ -201,7 +185,7 @@ TEST(EngineConcurrencyTest, DeadlockResolvedByVictimAbort) {
 TEST(EngineConcurrencyTest, PartialAbortPreservesSiblingWork) {
   // A transaction runs two subtransactions; one aborts. Under Moss the
   // committed sibling's work survives within the parent.
-  Database db(Opts(CcMode::kMossRW));
+  Database db(Opts());
   auto t = db.Begin();
   {
     auto good = t->BeginChild();
@@ -221,7 +205,7 @@ TEST(EngineConcurrencyTest, PartialAbortPreservesSiblingWork) {
 }
 
 TEST(EngineConcurrencyTest, ReadersDoNotBlockReadersUnderLoad) {
-  Database db(Opts(CcMode::kMossRW));
+  Database db(Opts());
   db.Preload("hot", 7);
   constexpr int kThreads = 8;
   std::atomic<int> ok{0};
@@ -246,7 +230,7 @@ TEST(EngineConcurrencyTest, ReadersDoNotBlockReadersUnderLoad) {
 }
 
 TEST(EngineConcurrencyTest, StatsAreCoherent) {
-  Database db(Opts(CcMode::kMossRW));
+  Database db(Opts());
   ASSERT_TRUE(db.RunTransaction(1, [](Transaction& t) {
                   return t.Put("k", 1);
                 }).ok());

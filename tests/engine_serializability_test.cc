@@ -30,10 +30,8 @@ struct TraceCollector {
   }
 };
 
-void RunSerializabilityOracle(CcMode mode, double read_ratio,
-                              int num_keys) {
+void RunSerializabilityOracle(double read_ratio, int num_keys) {
   EngineOptions opts;
-  opts.cc_mode = mode;
   opts.lock_timeout = std::chrono::milliseconds(500);
   Database db(opts);
   for (int k = 0; k < num_keys; ++k) db.Preload(StrCat("k", k), 0);
@@ -94,27 +92,15 @@ void RunSerializabilityOracle(CcMode mode, double read_ratio,
 }
 
 TEST(EngineSerializabilityTest, MossMixedWorkload) {
-  RunSerializabilityOracle(CcMode::kMossRW, 0.5, 4);
+  RunSerializabilityOracle(0.5, 4);
 }
 
 TEST(EngineSerializabilityTest, MossReadHeavyHotspot) {
-  RunSerializabilityOracle(CcMode::kMossRW, 0.9, 2);
+  RunSerializabilityOracle(0.9, 2);
 }
 
 TEST(EngineSerializabilityTest, MossWriteOnly) {
-  RunSerializabilityOracle(CcMode::kMossRW, 0.0, 3);
-}
-
-TEST(EngineSerializabilityTest, ExclusiveMixed) {
-  RunSerializabilityOracle(CcMode::kExclusive, 0.5, 4);
-}
-
-TEST(EngineSerializabilityTest, FlatMixed) {
-  RunSerializabilityOracle(CcMode::kFlat2PL, 0.5, 4);
-}
-
-TEST(EngineSerializabilityTest, SerialMixed) {
-  RunSerializabilityOracle(CcMode::kSerial, 0.5, 4);
+  RunSerializabilityOracle(0.0, 3);
 }
 
 TEST(PrecedenceGraphTest, EmptyTraceIsSerial) {

@@ -20,9 +20,8 @@
 namespace nestedtx {
 namespace {
 
-EngineOptions TracedOptions(CcMode mode = CcMode::kMossRW) {
+EngineOptions TracedOptions() {
   EngineOptions o;
-  o.cc_mode = mode;
   o.lock_timeout = std::chrono::milliseconds(300);
   return o;
 }
@@ -126,25 +125,6 @@ TEST(EngineTraceTest, GetForUpdateTraced) {
   ASSERT_TRUE(t->Commit().ok());
   EXPECT_EQ(db.ReadCommitted("k").value(), 10);
   ValidateTrace(db);
-}
-
-TEST(EngineTraceTest, ExclusiveModeTraced) {
-  Database db(TracedOptions(CcMode::kExclusive));
-  ASSERT_TRUE(db.EnableTracing().ok());
-  db.Preload("k", 1);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(db.RunTransaction(5, [](Transaction& t) {
-                    auto r = t.Add("k", 1);
-                    return r.ok() ? Status::OK() : r.status();
-                  }).ok());
-  }
-  EXPECT_EQ(db.ReadCommitted("k").value(), 4);
-  ValidateTrace(db);
-}
-
-TEST(EngineTraceTest, FlatModeRefusesTracing) {
-  Database db(TracedOptions(CcMode::kFlat2PL));
-  EXPECT_TRUE(db.EnableTracing().IsInvalidArgument());
 }
 
 TEST(EngineTraceTest, TracingAfterFirstTxnRefused) {

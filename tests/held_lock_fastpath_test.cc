@@ -15,9 +15,8 @@
 namespace nestedtx {
 namespace {
 
-EngineOptions ShortTimeoutOptions(CcMode mode = CcMode::kMossRW) {
+EngineOptions ShortTimeoutOptions() {
   EngineOptions o;
-  o.cc_mode = mode;
   o.lock_timeout = std::chrono::milliseconds(50);
   return o;
 }

@@ -1,5 +1,5 @@
 // Parameterized property sweeps over the engine: across a grid of
-// (CC mode x threads x keys x read ratio), concurrent workloads must
+// (threads x keys x read ratio x nesting), concurrent workloads must
 // preserve value invariants — no lost updates, conserved totals —
 // regardless of deadlocks, timeouts, retries, or nesting shape.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@ namespace {
 
 struct EngineSweepCase {
   std::string label;
-  CcMode mode;
   int threads;
   int keys;
   double read_ratio;
@@ -32,7 +31,6 @@ class EnginePropertyTest : public ::testing::TestWithParam<EngineSweepCase> {
 TEST_P(EnginePropertyTest, IncrementsAreNeverLost) {
   const EngineSweepCase& c = GetParam();
   EngineOptions options;
-  options.cc_mode = c.mode;
   options.lock_timeout = std::chrono::milliseconds(300);
   Database db(options);
   for (int k = 0; k < c.keys; ++k) db.Preload(StrCat("k", k), 0);
@@ -76,30 +74,19 @@ TEST_P(EnginePropertyTest, IncrementsAreNeverLost) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, EnginePropertyTest,
     ::testing::Values(
-        EngineSweepCase{"moss_hot_mixed", CcMode::kMossRW, 6, 1, 0.5, false},
-        EngineSweepCase{"moss_hot_nested", CcMode::kMossRW, 6, 1, 0.5, true},
-        EngineSweepCase{"moss_spread", CcMode::kMossRW, 6, 16, 0.5, false},
-        EngineSweepCase{"moss_readheavy", CcMode::kMossRW, 8, 4, 0.9, false},
-        EngineSweepCase{"moss_writeonly", CcMode::kMossRW, 6, 4, 0.0, true},
-        EngineSweepCase{"excl_hot", CcMode::kExclusive, 6, 1, 0.5, false},
-        EngineSweepCase{"excl_nested", CcMode::kExclusive, 4, 4, 0.5, true},
-        EngineSweepCase{"flat_hot", CcMode::kFlat2PL, 6, 1, 0.5, false},
-        EngineSweepCase{"serial_hot", CcMode::kSerial, 6, 1, 0.5, false},
-        EngineSweepCase{"serial_nested", CcMode::kSerial, 4, 4, 0.5, true}),
+        EngineSweepCase{"moss_hot_mixed", 6, 1, 0.5, false},
+        EngineSweepCase{"moss_hot_nested", 6, 1, 0.5, true},
+        EngineSweepCase{"moss_spread", 6, 16, 0.5, false},
+        EngineSweepCase{"moss_readheavy", 8, 4, 0.9, false},
+        EngineSweepCase{"moss_writeonly", 6, 4, 0.0, true}),
     [](const ::testing::TestParamInfo<EngineSweepCase>& info) {
       return info.param.label;
     });
 
-// Deadlock-policy sweep: both policies must preserve the invariant; the
-// graph policy should produce deadlock verdicts, the timeout policy
-// timeout verdicts, under an order-inverting workload.
-class DeadlockPolicyTest
-    : public ::testing::TestWithParam<DeadlockPolicy> {};
-
-TEST_P(DeadlockPolicyTest, OrderInversionResolvesAndConserves) {
+// Order-inverting workload: deadlock detection must resolve every
+// collision and preserve the invariant.
+TEST(DeadlockDetectionTest, OrderInversionResolvesAndConserves) {
   EngineOptions options;
-  options.cc_mode = CcMode::kMossRW;
-  options.deadlock_policy = GetParam();
   options.lock_timeout = std::chrono::milliseconds(50);
   Database db(options);
   db.Preload("a", 0);
@@ -123,21 +110,7 @@ TEST_P(DeadlockPolicyTest, OrderInversionResolvesAndConserves) {
   EXPECT_EQ(committed.load(), 50);
   EXPECT_EQ(db.ReadCommitted("a").value(), 50);
   EXPECT_EQ(db.ReadCommitted("b").value(), 50);
-  if (GetParam() == DeadlockPolicy::kTimeoutOnly) {
-    EXPECT_EQ(db.stats().Snapshot().deadlocks, 0u);
-  }
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, DeadlockPolicyTest,
-                         ::testing::Values(DeadlockPolicy::kWaitForGraph,
-                                           DeadlockPolicy::kTimeoutOnly),
-                         [](const ::testing::TestParamInfo<DeadlockPolicy>&
-                                info) {
-                           return info.param ==
-                                          DeadlockPolicy::kWaitForGraph
-                                      ? "wait_for_graph"
-                                      : "timeout_only";
-                         });
 
 // Nesting-depth sweep: a chain of subtransactions depth D deep, where
 // the innermost writes and every level commits; the value must surface.

@@ -83,23 +83,5 @@ TEST(SavepointTest, ParentCannotCommitWithOpenSavepoint) {
   EXPECT_TRUE(txn->Commit().ok());
 }
 
-TEST(SavepointTest, FlatModeHasNoSavepoints) {
-  // The System R contrast from the paper's introduction: without nesting,
-  // rolling back a savepoint dooms the enclosing transaction.
-  EngineOptions options;
-  options.cc_mode = CcMode::kFlat2PL;
-  Database db(options);
-  db.Preload("k", 1);
-  auto txn = db.Begin();
-  ASSERT_TRUE(txn->Put("k", 2).ok());
-  auto sp = Savepoint::Begin(*txn);
-  ASSERT_TRUE(sp.ok());
-  ASSERT_TRUE(sp->txn().Put("k", 3).ok());
-  ASSERT_TRUE(sp->Rollback().ok());
-  EXPECT_TRUE(txn->Commit().IsAborted());  // doomed
-  ASSERT_TRUE(txn->Abort().ok());
-  EXPECT_EQ(db.ReadCommitted("k").value(), 1);
-}
-
 }  // namespace
 }  // namespace nestedtx

@@ -1,5 +1,4 @@
-// Single-threaded semantics of the Transaction/Database API across all
-// concurrency-control modes.
+// Single-threaded semantics of the Transaction/Database API.
 #include <gtest/gtest.h>
 
 #include "core/database.h"
@@ -7,9 +6,8 @@
 namespace nestedtx {
 namespace {
 
-EngineOptions FastTimeout(CcMode mode = CcMode::kMossRW) {
+EngineOptions FastTimeout() {
   EngineOptions o;
-  o.cc_mode = mode;
   o.lock_timeout = std::chrono::milliseconds(100);
   return o;
 }
@@ -230,21 +228,10 @@ TEST(TransactionTest, RunNestedRetriesSubtreeOnly) {
   ASSERT_TRUE(t->Commit().ok());
 }
 
-// ----- mode-specific behaviour -----
-
-TEST(TransactionModeTest, ExclusiveModeReadsBlockReaders) {
-  Database db(FastTimeout(CcMode::kExclusive));
-  db.Preload("k", 1);
-  auto t1 = db.Begin();
-  ASSERT_TRUE(t1->Get("k").ok());
-  auto t2 = db.Begin();
-  // Under exclusive locking even a read-read pair conflicts.
-  EXPECT_TRUE(t2->Get("k").status().IsTimedOut());
-  (void)t1->Commit();
-}
+// ----- Moss-specific behaviour -----
 
 TEST(TransactionModeTest, MossModeReadsShare) {
-  Database db(FastTimeout(CcMode::kMossRW));
+  Database db(FastTimeout());
   db.Preload("k", 1);
   auto t1 = db.Begin();
   ASSERT_TRUE(t1->Get("k").ok());
@@ -254,26 +241,8 @@ TEST(TransactionModeTest, MossModeReadsShare) {
   (void)t2->Commit();
 }
 
-TEST(TransactionModeTest, FlatChildAbortDoomsWholeTransaction) {
-  Database db(FastTimeout(CcMode::kFlat2PL));
-  db.Preload("k", 1);
-  auto t = db.Begin();
-  ASSERT_TRUE(t->Put("k", 2).ok());
-  {
-    auto c = t->BeginChild();
-    ASSERT_TRUE(c.ok());
-    ASSERT_TRUE((*c)->Put("k", 3).ok());
-    ASSERT_TRUE((*c)->Abort().ok());
-  }
-  // The whole transaction is doomed now.
-  EXPECT_TRUE(t->Put("other", 1).IsAborted());
-  EXPECT_TRUE(t->Commit().IsAborted());
-  ASSERT_TRUE(t->Abort().ok());
-  EXPECT_EQ(db.ReadCommitted("k").value(), 1);  // everything rolled back
-}
-
 TEST(TransactionModeTest, MossChildAbortKeepsParentAlive) {
-  Database db(FastTimeout(CcMode::kMossRW));
+  Database db(FastTimeout());
   db.Preload("k", 1);
   auto t = db.Begin();
   ASSERT_TRUE(t->Put("k", 2).ok());
@@ -287,18 +256,6 @@ TEST(TransactionModeTest, MossChildAbortKeepsParentAlive) {
   ASSERT_TRUE(t->Commit().ok());
   EXPECT_EQ(db.ReadCommitted("k").value(), 2);
   EXPECT_EQ(db.ReadCommitted("other").value(), 1);
-}
-
-TEST(TransactionModeTest, SerialModeStillCorrect) {
-  Database db(FastTimeout(CcMode::kSerial));
-  ASSERT_TRUE(db.RunTransaction(1, [](Transaction& t) {
-                  return t.Put("k", 1);
-                }).ok());
-  ASSERT_TRUE(db.RunTransaction(1, [](Transaction& t) {
-                  auto r = t.Add("k", 1);
-                  return r.ok() ? Status::OK() : r.status();
-                }).ok());
-  EXPECT_EQ(db.ReadCommitted("k").value(), 2);
 }
 
 TEST(TransactionTest, GetForUpdateTakesExclusiveLock) {
@@ -335,13 +292,6 @@ TEST(TransactionTest, GetForUpdateIsAbortSafe) {
   ASSERT_TRUE(t->Put("k", 99).ok());
   ASSERT_TRUE(t->Abort().ok());
   EXPECT_EQ(db.ReadCommitted("k").value(), 5);
-}
-
-TEST(TransactionModeTest, ModeNames) {
-  EXPECT_STREQ(CcModeName(CcMode::kMossRW), "moss-rw");
-  EXPECT_STREQ(CcModeName(CcMode::kExclusive), "exclusive");
-  EXPECT_STREQ(CcModeName(CcMode::kFlat2PL), "flat-2pl");
-  EXPECT_STREQ(CcModeName(CcMode::kSerial), "serial");
 }
 
 }  // namespace

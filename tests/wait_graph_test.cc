@@ -196,41 +196,6 @@ TEST(WaitGraphTest, VictimPolicyYoungestSubtreeEqualDepthTieGoesToRequester) {
   EXPECT_EQ(g.NumWaiters(), 1u);
 }
 
-TEST(WaitGraphTest, VictimPolicyFewestLocksHeld) {
-  WaitGraph g;
-  g.SetVictimPolicy(VictimPolicy::kFewestLocksHeld);
-  std::mutex m;
-  std::condition_variable cv;
-  std::vector<WaitGraph::Wakeup> wakeups;
-
-  // Registered waiter holds fewer locks than the requester: it dies.
-  WaitGraph::WaiterInfo cheap;
-  cheap.mutex = &m;
-  cheap.cv = &cv;
-  cheap.locks_held = 1;
-  ASSERT_TRUE(g.AddWait(T({0}), {T({1})}, cheap, &wakeups).ok());
-  WaitGraph::WaiterInfo rich;
-  rich.locks_held = 7;
-  EXPECT_TRUE(g.AddWait(T({1}), {T({0})}, rich, &wakeups).ok());
-  ASSERT_EQ(wakeups.size(), 1u);
-  EXPECT_TRUE(g.TakeVictim(T({0})));
-
-  // Fresh cycle where the requester is the cheaper one: requester dies,
-  // nobody is signalled.
-  wakeups.clear();
-  g.RemoveWait(T({1}));
-  WaitGraph::WaiterInfo rich2;
-  rich2.mutex = &m;
-  rich2.cv = &cv;
-  rich2.locks_held = 9;
-  ASSERT_TRUE(g.AddWait(T({2}), {T({3})}, rich2, &wakeups).ok());
-  WaitGraph::WaiterInfo cheap2;
-  cheap2.locks_held = 2;
-  EXPECT_TRUE(g.AddWait(T({3}), {T({2})}, cheap2, &wakeups).IsDeadlock());
-  EXPECT_TRUE(wakeups.empty());
-  EXPECT_FALSE(g.TakeVictim(T({2})));
-}
-
 TEST(WaitGraphTest, VictimizedEntryNotCountedAsWaiter) {
   WaitGraph g;
   g.SetVictimPolicy(VictimPolicy::kYoungestSubtree);
