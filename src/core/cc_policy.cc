@@ -140,8 +140,8 @@ std::unique_ptr<ConflictPolicy> MakeConflictPolicy(
     case CcProtocol::kAdaptive: {
       // The adaptive controller alternates OCC with a locking phase; the
       // policy seam serves the locking phase. Recurse once with the
-      // configured fallback (TransactionManager::NormalizeOptions has
-      // already sanitized it to a locking protocol).
+      // configured fallback, sanitized here (the only reader of the
+      // knob): a non-locking fallback means detect.
       EngineOptions locking = options;
       locking.cc_protocol =
           (options.adaptive_locking_protocol == CcProtocol::kOcc ||

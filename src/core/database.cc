@@ -3,28 +3,11 @@
 #include <chrono>
 #include <thread>
 
+#include "core/retry.h"
 #include "util/cleanup.h"
-#include "util/random.h"
 #include "util/strings.h"
 
 namespace nestedtx {
-
-namespace {
-
-// Exponential backoff with jitter between retry attempts: under a
-// persistent collision (two transactions that keep choosing each other as
-// deadlock victims), desynchronizing the retries is what actually breaks
-// the livelock.
-void BackoffBeforeRetry(int attempt) {
-  static thread_local Rng rng(
-      std::hash<std::thread::id>{}(std::this_thread::get_id()));
-  const int shift = attempt < 8 ? attempt : 8;
-  const uint64_t ceiling_us = 50ull << shift;  // 50us .. ~12.8ms
-  std::this_thread::sleep_for(
-      std::chrono::microseconds(rng.Uniform(ceiling_us) + 1));
-}
-
-}  // namespace
 
 Database::Database(EngineOptions options) : manager_(options) {
   WriteAheadLog* wal = manager_.wal();
@@ -168,7 +151,12 @@ Status Database::RunTransaction(int max_attempts, const TxnBody& body) {
     if (!txn->returned()) txn->Abort();
     if (!Retryable(s)) return s;
     last = s;
-    BackoffBeforeRetry(attempt);
+    // RetryExecutor's schedule (50 us .. 12.8 ms, jittered from the
+    // failed attempt's own id): under a persistent collision (two
+    // transactions that keep choosing each other as deadlock victims),
+    // desynchronizing the retries is what breaks the livelock.
+    std::this_thread::sleep_for(std::chrono::microseconds(
+        RetryBackoffDelayUs(RetryPolicy{}, txn->id(), attempt + 1)));
   }
   return Status::Aborted(
       StrCat("transaction gave up after ", max_attempts,
@@ -189,7 +177,8 @@ Status Database::RunNested(Transaction& parent, int max_attempts,
     if (!(*child)->returned()) (*child)->Abort();
     if (!Retryable(s)) return s;
     last = s;
-    BackoffBeforeRetry(attempt);
+    std::this_thread::sleep_for(std::chrono::microseconds(
+        RetryBackoffDelayUs(RetryPolicy{}, (*child)->id(), attempt + 1)));
   }
   return Status::Aborted(
       StrCat("subtransaction gave up after ", max_attempts,

@@ -1228,7 +1228,7 @@ constexpr int kOccCommitSpinBudget = 4096;
 
 }  // namespace
 
-Status LockManager::OccCommit(const std::vector<OccWriteEntry>& writes,
+Status LockManager::OccCommit(const std::vector<WalWrite>& writes,
                               const std::vector<OccReadEntry>& reads,
                               uint64_t wal_shard_hint,
                               WalTicket* wal_ticket) {
@@ -1251,7 +1251,7 @@ Status LockManager::OccCommit(const std::vector<OccWriteEntry>& writes,
     stats_->Add(kStatOccValidationAborts);
     return Status::Aborted(std::move(msg));
   };
-  for (const OccWriteEntry& w : writes) {
+  for (const WalWrite& w : writes) {
     KeyState& ks = GetKeyState(w.key);
     bool have = false;
     uint64_t pre = 0;

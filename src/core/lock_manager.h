@@ -299,12 +299,6 @@ class LockManager {
     bool from_store = false;
   };
 
-  /// One buffered write (nullopt = deletion).
-  struct OccWriteEntry {
-    std::string key;
-    std::optional<int64_t> value;
-  };
-
   /// Optimistic read of `key`'s committed value: the seqlock read lane
   /// without any holder-set insert — two acquire loads around the value
   /// cache, zero shared-state writes on the hit path. Fills `entry` with
@@ -338,7 +332,7 @@ class LockManager {
   /// through `wal_ticket`. An append failure restores the pre-lock words
   /// (nothing installed) and returns Status::IoError, NOT counted as a
   /// validation abort. `wal_shard_hint` is the top-level begin ordinal.
-  Status OccCommit(const std::vector<OccWriteEntry>& writes,
+  Status OccCommit(const std::vector<WalWrite>& writes,
                    const std::vector<OccReadEntry>& reads,
                    uint64_t wal_shard_hint = 0,
                    WalTicket* wal_ticket = nullptr);

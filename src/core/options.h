@@ -143,8 +143,9 @@ struct EngineOptions {
   bool lock_word_enabled = true;
   /// --- kAdaptive sub-knobs (ignored by every other protocol) ---
   /// The locking-family protocol the adaptive controller falls back to
-  /// when contention makes optimistic execution churn. Must be one of
-  /// the locking protocols (kDetect / kWaitDie / kNoWait).
+  /// when contention makes optimistic execution churn: one of the
+  /// locking protocols (kDetect / kWaitDie / kNoWait); kOcc or kAdaptive
+  /// here means kDetect.
   CcProtocol adaptive_locking_protocol = CcProtocol::kDetect;
   /// Epoch length: the controller re-evaluates the protocol choice every
   /// N top-level begins. 0 disables switching (the controller starts in

@@ -26,15 +26,7 @@ uint64_t RetryBackoffDelayUs(const RetryPolicy& policy,
 }
 
 RetryExecutor::RetryExecutor(Database* db, RetryPolicy policy)
-    : db_(db),
-      policy_(policy),
-      // Every non-detect protocol re-seeds backoff from each attempt's
-      // fresh id: prevention aborts (wait-die / no-wait) need it for the
-      // PR 7 livelock fix, and OCC validation aborts (kOcc, and
-      // kAdaptive's optimistic phase) have the same shape — two
-      // transactions that repeatedly invalidate each other's read sets
-      // must not sleep identical delays forever.
-      prevention_scopes_(db->options().cc_protocol != CcProtocol::kDetect) {
+    : db_(db), policy_(policy) {
   if (policy_.max_attempts < 1) policy_.max_attempts = 1;
   if (policy_.max_attempts_top < 1) {
     policy_.max_attempts_top = policy_.max_attempts;
@@ -124,12 +116,7 @@ Status RetryExecutor::Run(const Database::TxnBody& body) {
 
   Status last = Status::Internal("no attempts made");
   bool budget_exhausted = false;
-  // Root scope: every top-level retry loop jitters from the same stream
-  // (historical behaviour, load-bearing for detect-mode bench baselines).
-  // Prevention protocols instead re-seed from each failed attempt's own
-  // id — see prevention_scopes_ — or two opposite-order loops that abort
-  // each other on attempt n sleep identical delays and abort each other
-  // on attempt n+1, forever.
+  // Jitter from the failed attempt's own id (see RetryBackoffDelayUs).
   TransactionId backoff_scope;
   for (int attempt = 0; attempt < policy_.max_attempts_top; ++attempt) {
     if (attempt > 0) {
@@ -146,7 +133,7 @@ Status RetryExecutor::Run(const Database::TxnBody& body) {
     }
     std::unique_ptr<Transaction> txn = db_->Begin();
     if (txn == nullptr) return db_->manager().failure();  // engine poisoned
-    if (prevention_scopes_) backoff_scope = txn->id();
+    backoff_scope = txn->id();
     txn->NoteRetryAttempt(static_cast<uint32_t>(attempt));
     const uint32_t top_index = txn->id()[0];
     RegisterTree(top_index, tree);
@@ -191,9 +178,8 @@ Status RetryExecutor::RunChild(Transaction& parent,
 
   Status last = Status::Internal("no attempts made");
   bool budget_exhausted = false;
-  // Same livelock surface as Run(): siblings of one parent share the
-  // parent-id scope, so under prevention the scope tracks the failed
-  // child instead (fresh child indices per attempt).
+  // As in Run(), the scope tracks the failed child (fresh child indices
+  // per attempt); a failed BeginChild keeps the previous scope.
   TransactionId backoff_scope = parent.id();
   for (int attempt = 0; attempt < policy_.max_attempts; ++attempt) {
     if (attempt > 0) {
@@ -220,7 +206,7 @@ Status RetryExecutor::RunChild(Transaction& parent,
       }
       return child.status();
     }
-    if (prevention_scopes_) backoff_scope = (*child)->id();
+    backoff_scope = (*child)->id();
     (*child)->NoteRetryAttempt(static_cast<uint32_t>(attempt));
     Status s = body(**child);
     if (s.ok()) {

@@ -38,9 +38,8 @@
 
 namespace nestedtx {
 
-/// Knobs for RetryExecutor. Defaults match Database::RunTransaction's
-/// historical behaviour (8 attempts, 50us..12.8ms backoff) but with a
-/// deterministic jitter stream instead of thread-identity seeding.
+/// Knobs for RetryExecutor. The defaults (8 attempts, 50us..12.8ms
+/// backoff) are also Database::RunTransaction's and RunNested's.
 struct RetryPolicy {
   /// Attempts per subtree retry scope (the initial run counts as one).
   /// Kept deliberately small: a subtree retry cannot release
@@ -83,7 +82,11 @@ struct RetryPolicy {
 };
 
 /// The deterministic backoff delay before retry `attempt` (1-based) of
-/// the scope identified by `scope` — exposed for tests.
+/// the scope identified by `scope`. Every retry loop passes the id of
+/// the attempt that just failed: fresh per attempt and distinct across
+/// loops, so two transactions that abort each other (deadlock victims,
+/// prevention deaths, OCC validation failures) never sleep identical
+/// delays and re-collide forever.
 uint64_t RetryBackoffDelayUs(const RetryPolicy& policy,
                              const TransactionId& scope, int attempt);
 
@@ -132,17 +135,6 @@ class RetryExecutor {
 
   Database* db_;
   RetryPolicy policy_;
-  /// Under a prevention protocol (wait-die / no-wait) every conflict is
-  /// an abort, so two retry loops whose delays coincide re-collide on
-  /// every attempt — with the historical shared backoff scope (all
-  /// top-level retries jitter from the root scope) that coincidence is
-  /// PERMANENT and two opposite-order transactions livelock. When set,
-  /// each retry jitters from the just-failed attempt's own txn id:
-  /// fresh per attempt, distinct across loops, so schedules
-  /// desynchronize. Off under detection to keep its backoff schedules
-  /// (and bench baselines) byte-identical.
-  bool prevention_scopes_ = false;
-
   std::mutex mutex_;  // guards trees_
   /// Live trees by top-level child index (TransactionId path[0]), so a
   /// RunChild deep in a body finds the budget its Run attempt registered.

@@ -13,6 +13,15 @@
 // on a returned or cancelled transaction fail. A handle destroyed without
 // returning aborts automatically (RAII).
 //
+// One dispatch per protocol family: every access op is a "cell"
+// operation (ApplyCellOp, serial/data_type.h) entering Access(), which
+// branches once into the locking family (LockedAccess, transaction.cc)
+// or the optimistic one (OccAccess, transaction_occ.cc); Commit()
+// branches the same way. Both families keep one write image per handle
+// (a key-sorted WalWrite vector: the OCC write buffer, or the locking
+// path's WAL image) folded child-wins into the parent on commit, and
+// every commit or abort, child or top-level, returns through Finish().
+//
 // Hot path: each handle keeps a held-lock cache (key -> HeldLock handle
 // from the lock manager). A re-read under a held read/write lock or a
 // re-write under a held write lock goes through the lock manager's
@@ -24,6 +33,7 @@
 #ifndef NESTEDTX_CORE_TRANSACTION_H_
 #define NESTEDTX_CORE_TRANSACTION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -35,6 +45,7 @@
 #include "core/options.h"
 #include "core/span.h"
 #include "core/stats.h"
+#include "tx/system_type.h"
 #include "tx/transaction_id.h"
 #include "util/status.h"
 
@@ -114,37 +125,31 @@ class Transaction {
               TransactionId id, bool occ);
 
   Status CheckActive() const;
-  /// Swap out this transaction's key inventory (it becomes empty).
-  std::vector<LockManager::KeyHold> TakeKeys();
-  /// Sorted-merge `keys` into the parent's inventory (cached handles ride
-  /// along). The same taken vector serves the batched release first, so
-  /// the commit path never deep-copies the key strings.
-  void MergeKeysIntoParent(const std::vector<LockManager::KeyHold>& keys);
 
-  // --- Durability (wal_enabled only; see core/wal.h) ---
-  /// Record a successful locking-path write in the commit image (last
-  /// write of a key wins). OCC handles skip this: their write buffer IS
-  /// the image.
-  void RecordWalWrite(const std::string& key, std::optional<int64_t> value);
-  /// Child commit: fold this handle's image into the parent's, child
-  /// entries overwriting the parent's — the WAL face of lock
-  /// inheritance. The image dies with the handle on abort.
-  void MergeWalWritesIntoParent();
-  /// The shared tail of Commit()'s append-failed path: turn the commit
-  /// into a clean abort (no trace commit event was emitted yet, nothing
-  /// was installed) and return `cause`, which is retryable through
-  /// RetryExecutor/RunTransaction.
-  Status AbortAfterFailedAppend(Status cause,
-                                const std::vector<LockManager::KeyHold>& keys,
-                                uint64_t commit_req_ns, bool timed);
+  /// The one access entry: TryGet, GetForUpdate, Put, Add and Delete are
+  /// thin calls into it. `op` is a "cell" operation, applied through
+  /// ApplyCellOp (serial/data_type.h) on every path; `exclusive` asks
+  /// the locking family for a write lock (every mutating op, and
+  /// GetForUpdate's read). Branches once on the protocol family; returns
+  /// the value the op reports (the cell's state after it).
+  Result<std::optional<int64_t>> Access(const std::string& key,
+                                        OpDescriptor op, bool exclusive);
 
+  // --- Locking family (detect / wait-die / no-wait, and kAdaptive's
+  // locking phase). transaction.cc. ---
+
+  /// The locking access: lock grant (held-lock fast lane when a cached
+  /// handle suffices), write-image record, trace aggregate fold. Also
+  /// what the traced OCC replay runs its buffered ops through.
+  Result<std::optional<int64_t>> LockedAccess(const std::string& key,
+                                              OpDescriptor op,
+                                              bool exclusive);
   /// Register `key` in the key inventory, copy out any cached held-lock
   /// handle for it (plus its inventory index, a hint for CacheHeld), and
   /// (when tracing) allocate an access child id into `info`; returns the
   /// info pointer to pass to the lock manager (nullptr when not tracing).
   const AccessTraceInfo* PrepareAccess(const std::string& key,
-                                       uint32_t op_code, Value op_arg,
-                                       AccessTraceInfo* info,
+                                       OpDescriptor op, AccessTraceInfo* info,
                                        LockManager::HeldLock* held,
                                        bool* have_held, size_t* idx);
   /// Store/update the held-lock handle cached for `key`. `idx` is the
@@ -152,79 +157,106 @@ class Transaction {
   /// children may have merged entries in since.
   void CacheHeld(size_t idx, const std::string& key,
                  const LockManager::HeldLock& held);
-
-  /// Read/write through the lock manager, taking the held-lock fast lane
-  /// when a sufficient cached handle exists.
-  Result<std::optional<int64_t>> LockedRead(const std::string& key,
-                                            const AccessTraceInfo* trace,
-                                            LockManager::HeldLock held,
-                                            bool have_held, size_t idx);
-  Result<std::optional<int64_t>> LockedWrite(const std::string& key,
-                                             const LockManager::Mutator& m,
-                                             const AccessTraceInfo* trace,
-                                             LockManager::HeldLock held,
-                                             bool have_held, size_t idx);
+  /// Swap out this transaction's key inventory (it becomes empty).
+  std::vector<LockManager::KeyHold> TakeKeys();
+  /// Sorted-merge `keys` into the parent's inventory (cached handles ride
+  /// along). The same taken vector serves the batched release first, so
+  /// the commit path never deep-copies the key strings.
+  void MergeKeysIntoParent(const std::vector<LockManager::KeyHold>& keys);
+  /// Commit through the lock manager: the top-level tail appends the
+  /// write image under the held locks, then OnCommit, NoteCommitReleased
+  /// and WaitDurable; a child passes locks, versions and its write image
+  /// to the parent. The traced OCC commit ends here too, after its replay.
+  Status CommitLocked(uint64_t req_ns);
 
   /// When tracing: fold a child report value into this transaction's
-  /// aggregate (unsigned wraparound, mirroring ScriptedTransaction).
+  /// aggregate (wrapping, like ScriptedTransaction's).
   void AddToAggregate(Value v);
 
-  // --- Optimistic execution (CcProtocol::kOcc / kAdaptive OCC phase) ---
+  // --- The write image ---
+  /// Upsert `key := value` into writes_ (last write of a key wins).
+  void RecordWrite(const std::string& key, std::optional<int64_t> value);
+  /// The one child->parent fold: upsert `mine` (this child's write image,
+  /// already taken out of writes_) into the parent's, child entries
+  /// winning. Caller holds parent_->mutex_.
+  void FoldWritesIntoParentLocked(std::vector<WalWrite>* mine);
+  /// Sorted upsert into a write image; an existing entry takes `value`.
+  static void UpsertWrite(std::vector<WalWrite>& writes, std::string key,
+                          std::optional<int64_t> value);
+
+  /// Position of `key` in a key-sorted vector of entries with a `key`
+  /// member (key inventory, write image, OCC read set).
+  template <typename Entry>
+  static typename std::vector<Entry>::iterator FindByKey(
+      std::vector<Entry>& entries, const std::string& key) {
+    return std::lower_bound(
+        entries.begin(), entries.end(), key,
+        [](const Entry& e, const std::string& k) { return e.key < k; });
+  }
+
+  // --- One return path ---
+  /// Abort after returned_ flipped: Abort() and every failed commit (WAL
+  /// append, OCC validation or merge) end here. Discards the subtree's
+  /// locks and versions, emits the abort events, and returns `cause`
+  /// through Finish. `touched` counts keys outside the lock inventory
+  /// (an untraced OCC handle's read and write sets) for the span.
+  Status Rollback(Status cause, uint64_t req_ns, size_t touched);
+  /// The return epilogue shared by every commit and abort, top-level or
+  /// child, either family: release and txn histograms, span, stats, doom
+  /// lift (aborts), then NoteTopLevelReturn or the parent's
+  /// active_children_ decrement — last, since it lets the parent return.
+  /// Returns `result`.
+  Status Finish(Status result, uint64_t req_ns, size_t touched,
+                bool committed);
+
+  // --- Optimistic family (CcProtocol::kOcc / kAdaptive's OCC phase).
+  // transaction_occ.cc. ---
   // An OCC handle never touches the lock manager's holder structures:
-  // every op lands in a private OccState instead of keys_. Reads resolve
-  // own write buffer -> own read set -> ancestors' buffers -> store
-  // (giving repeatable reads); child commit validates-and-merges the
-  // sets into the parent; only top-level commit touches shared state.
+  // reads land in occ_reads_, writes in writes_. Reads resolve own
+  // buffers -> ancestors' buffers -> store (giving repeatable reads);
+  // child commit validates-and-merges the sets into the parent; only
+  // top-level commit touches shared state.
 
   /// One buffered op, kept (traced runs only) for the top-level replay
   /// commit. `reported` is the value the op observed/produced — the
   /// replay must reproduce it or fail validation.
   struct OccOp {
     std::string key;
-    uint32_t op_code;
-    Value op_arg;
+    OpDescriptor op;
     std::optional<int64_t> reported;
-  };
-  struct OccState {
-    std::vector<LockManager::OccWriteEntry> writes;  // sorted by key, unique
-    std::vector<LockManager::OccReadEntry> reads;    // sorted by key
-    std::vector<OccOp> ops;                          // traced runs only
   };
 
   /// Where an OCC buffer lookup found the key.
   enum class OccHit { kNone, kWrite, kRead };
 
+  /// The optimistic access: observe (reads and Add), apply, buffer.
+  Result<std::optional<int64_t>> OccAccess(const std::string& key,
+                                           OpDescriptor op);
   /// Lookup in THIS handle's buffers (caller holds mutex_).
   OccHit OccLookupLocked(const std::string& key,
                          std::optional<int64_t>* value);
+  /// Lookup up the buffer chain from `t` (t, its parent, ...), one mutex
+  /// at a time, strictly child->ancestor — the order the child-merge
+  /// path nests them in, so no lookup can deadlock against a merge.
+  static OccHit OccLookupChain(Transaction* t, const std::string& key,
+                               std::optional<int64_t>* value);
   /// Observe `key`'s value for this handle, recording the read
   /// dependency (word entry for store reads, buffer-sourced entry for
   /// ancestor-buffer hits) that merge/commit validation will check.
   Result<std::optional<int64_t>> OccObserve(const std::string& key);
-  /// Buffer a write (`mutator` maps observed -> new value; reads_current
-  /// says whether the op semantically observes the old value, i.e. Add).
-  Result<std::optional<int64_t>> OccWriteOp(const std::string& key,
-                                            uint32_t op_code, Value op_arg,
-                                            bool reads_current,
-                                            const LockManager::Mutator& m);
-  /// Append a traced op record + aggregate fold (no-op when not tracing).
-  void OccRecordOp(const std::string& key, uint32_t op_code, Value op_arg,
-                   std::optional<int64_t> reported);
   /// Child commit: validate this handle's read set against the parent
   /// chain as of now and merge sets/ops into the parent (the OCC image
   /// of lock inheritance). Fails with retryable Status::Aborted when a
   /// sibling's merged write invalidated an observation.
   Status OccMergeIntoParent();
-  /// Top-level commit bookkeeping (word-path validate/install, or the
-  /// traced replay-under-locks). Called from Commit() after returned_
-  /// flips; mirrors the locking path's events/metrics/stats exactly.
-  Status CommitOcc(uint64_t commit_req_ns);
-  /// Traced replay: re-run the buffered ops through the locking grant
-  /// paths in sorted key order (writes exclusively, so no upgrades and,
-  /// by the sorted-acquisition argument, no deadlocks), validating each
-  /// observed value. Fills `acquired` with the touched keys for
-  /// OnCommit/OnAbort.
-  Status OccReplayTraced(OccState* st, std::vector<std::string>* acquired);
+  /// Commit dispatch of the optimistic family: child merge, untraced
+  /// word-path validate/install, or traced replay + CommitLocked.
+  Status CommitOcc(uint64_t req_ns);
+  /// Traced replay: re-run the buffered ops through LockedAccess in
+  /// sorted key order (every op on a written key exclusively, so no
+  /// upgrades and, by the sorted-acquisition argument, no deadlocks),
+  /// validating each observed value.
+  Status OccReplayTraced();
 
   /// RAII wrapper around one lock-manager call: charges the calling
   /// thread's lock-wait delta (ThreadWaitAccounting) to the sampled
@@ -239,26 +271,31 @@ class Transaction {
   Transaction* parent_;  // nullptr for top-level
   TransactionId id_;
 
-  std::mutex mutex_;  // guards keys_, child_counter_, aggregate_
+  /// Guards keys_, child_counter_, writes_, occ_reads_, occ_ops_ and
+  /// aggregate_.
+  std::mutex mutex_;
   /// Keys this transaction may hold locks on, sorted by key, each with
   /// the cached fast-path handle from its latest successful acquire (an
   /// empty/stale handle just falls back to the full grant path).
   std::vector<LockManager::KeyHold> keys_;
   uint32_t child_counter_ = 0;
-  /// Commit image for the WAL (locking handles, wal_enabled only): the
-  /// final value of every key this subtree wrote, sorted by key. Guarded
-  /// by mutex_. Children fold theirs in at commit; the top-level commit
-  /// appends the merged image before releasing its locks.
-  std::vector<WalWrite> wal_writes_;
+  /// The write image: the final value of every key this subtree wrote,
+  /// sorted by key. An OCC handle's write buffer; a locking handle's WAL
+  /// commit image (recorded only when a WAL exists). Children fold
+  /// theirs in at commit, child entries winning — the image face of lock
+  /// inheritance; the top-level commit appends (or installs) it.
+  std::vector<WalWrite> writes_;
+  /// OCC read set (sorted by key) and, traced runs only, the op log.
+  std::vector<LockManager::OccReadEntry> occ_reads_;
+  std::vector<OccOp> occ_ops_;
   std::atomic<int> active_children_{0};
   std::atomic<bool> returned_{false};
-  Value aggregate_ = 0;  // guarded by mutex_; tracing only
+  Value aggregate_ = 0;  // tracing only
 
   /// True when this handle executes optimistically (kOcc always; under
   /// kAdaptive, the controller's phase at top-level Begin). Children
   /// inherit the flag, so a whole tree is either optimistic or locking.
   const bool occ_;
-  std::unique_ptr<OccState> occ_state_;  // lazily allocated; guarded by mutex_
 
   // Observability scratch. begin_ns_ is stamped once at construction
   // (metrics enabled only); span_ accumulates while span_sampled_ and is

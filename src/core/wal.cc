@@ -278,6 +278,23 @@ WriteAheadLog::~WriteAheadLog() {
 
 Status WriteAheadLog::OpenStatus() const { return open_status_; }
 
+Result<WalTicket> WriteAheadLog::AppendImage(
+    uint64_t shard_hint, const std::vector<WalWrite>& writes,
+    bool release_follows) {
+  thread_local std::string body;
+  body.clear();
+  EncodeU32(&body, static_cast<uint32_t>(writes.size()));
+  for (const WalWrite& w : writes) {
+    EncodeU32(&body, static_cast<uint32_t>(w.key.size()));
+    body.append(w.key);
+    body.push_back(w.value.has_value() ? '\1' : '\0');
+    if (w.value.has_value()) {
+      EncodeU64(&body, static_cast<uint64_t>(*w.value));
+    }
+  }
+  return AppendRecord(shard_hint, body, release_follows);
+}
+
 Result<WalTicket> WriteAheadLog::AppendRecord(uint64_t shard_hint,
                                               const std::string& body,
                                               bool release_follows) {

@@ -129,9 +129,10 @@
 
 namespace nestedtx {
 
-/// One entry of a top-level commit image: a put (value set) or a delete
-/// (nullopt tombstone). Field names match LockManager::OccWriteEntry so
-/// AppendImage accepts either container.
+/// One entry of a write image: a put (value set) or a delete (nullopt
+/// tombstone). A top-level commit image is a key-sorted vector of these;
+/// it is also the shape of a transaction's own write image (the locking
+/// path's WAL image and the OCC write buffer alike).
 struct WalWrite {
   std::string key;
   std::optional<int64_t> value;
@@ -163,8 +164,7 @@ class WriteAheadLog {
   Status OpenStatus() const;
 
   /// Append one top-level commit image. `shard_hint` (the top-level
-  /// begin ordinal) picks the shard; `writes` is any container of
-  /// {key, optional<int64_t> value} entries, sorted or not. Must be
+  /// begin ordinal) picks the shard; `writes` need not be sorted. Must be
   /// called while the commit still holds its write locks (see the
   /// ordering invariant above). With `release_follows` the committer
   /// promises a NoteCommitReleased(ticket) will follow once its install
@@ -173,22 +173,9 @@ class WriteAheadLog {
   /// Returns the ticket to later WaitDurable on, or IoError when the
   /// shard is broken — at which point nothing was installed and the
   /// caller can abort cleanly.
-  template <typename Vec>
-  Result<WalTicket> AppendImage(uint64_t shard_hint, const Vec& writes,
-                                bool release_follows = true) {
-    thread_local std::string body;
-    body.clear();
-    EncodeU32(&body, static_cast<uint32_t>(writes.size()));
-    for (const auto& w : writes) {
-      EncodeU32(&body, static_cast<uint32_t>(w.key.size()));
-      body.append(w.key);
-      body.push_back(w.value.has_value() ? '\1' : '\0');
-      if (w.value.has_value()) {
-        EncodeU64(&body, static_cast<uint64_t>(*w.value));
-      }
-    }
-    return AppendRecord(shard_hint, body, release_follows);
-  }
+  Result<WalTicket> AppendImage(uint64_t shard_hint,
+                                const std::vector<WalWrite>& writes,
+                                bool release_follows = true);
 
   /// Block until the ticket's record — and, with multiple shards, every
   /// record with a smaller seq on ANY shard — is durable per the fsync

@@ -34,7 +34,7 @@ class CounterType : public DataType {
       case ops::kRead:
         return {state, state};
       case ops::kAdd:
-        return {state + op.arg, state + op.arg};
+        return {WrapAdd(state, op.arg), WrapAdd(state, op.arg)};
       default:
         return {state, 0};
     }
@@ -53,7 +53,7 @@ class AccountType : public DataType {
       case ops::kRead:
         return {state, state};
       case ops::kDeposit:
-        return {state + op.arg, state + op.arg};
+        return {WrapAdd(state, op.arg), WrapAdd(state, op.arg)};
       case ops::kWithdraw:
         if (state >= op.arg) return {state - op.arg, state - op.arg};
         return {state, -1};
@@ -95,20 +95,11 @@ class CellType : public DataType {
   std::string name() const override { return "cell"; }
   std::pair<Value, Value> Apply(Value state,
                                 const OpDescriptor& op) const override {
-    switch (op.code) {
-      case ops::kRead:
-        return {state, state};
-      case ops::kWrite:
-        return {op.arg, op.arg};
-      case ops::kCellAdd: {
-        const Value base = state == kAbsentValue ? 0 : state;
-        return {base + op.arg, base + op.arg};
-      }
-      case ops::kCellDelete:
-        return {kAbsentValue, kAbsentValue};
-      default:
-        return {state, 0};
-    }
+    if (op.code > ops::kCellDelete) return {state, 0};
+    const std::optional<int64_t> next = ApplyCellOp(
+        op, state == kAbsentValue ? std::nullopt
+                                  : std::optional<int64_t>(state));
+    return {next.value_or(kAbsentValue), next.value_or(kAbsentValue)};
   }
   bool IsReadOnly(const OpDescriptor& op) const override {
     return op.code == ops::kRead;

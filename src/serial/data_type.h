@@ -12,7 +12,9 @@
 #ifndef NESTEDTX_SERIAL_DATA_TYPE_H_
 #define NESTEDTX_SERIAL_DATA_TYPE_H_
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -54,7 +56,8 @@ class DataType {
 ///              Database keys as basic objects.
 ///              0 kRead        -> returns state (possibly absent)
 ///              1 kWrite (arg) -> state = arg, returns arg
-///              2 kCellAdd     -> state = (absent?0:state) + arg, returns it
+///              2 kCellAdd     -> state = (absent?0:state) + arg (wrapping),
+///                                returns it
 ///              3 kCellDelete  -> state = absent, returns absent
 namespace ops {
 inline constexpr uint32_t kRead = 0;
@@ -72,6 +75,35 @@ inline constexpr uint32_t kCellDelete = 3; // cell
 /// Sentinel encoding "absent" in the "cell" data type (and in engine
 /// traces). Not a storable user value.
 inline constexpr Value kAbsentValue = INT64_MIN;
+
+/// Two's-complement addition: wraps around instead of overflowing (signed
+/// overflow is undefined behaviour, and deltas and report values are user
+/// input). Every sum of Values in the model and the engine goes through
+/// here, so both sides wrap identically.
+inline Value WrapAdd(Value a, Value b) {
+  return static_cast<Value>(static_cast<uint64_t>(a) +
+                            static_cast<uint64_t>(b));
+}
+
+/// The "cell" operation table: what each cell op does to a nullable cell
+/// (nullopt = absent). A cell op reports the state it leaves behind, so
+/// the one result is both the new state and the returned value. The
+/// model's CellType::Apply and every engine access path (locking
+/// mutators, OCC buffered writes, the traced OCC replay) call this, so
+/// the operations are defined once. Unknown codes leave the cell as is.
+inline std::optional<int64_t> ApplyCellOp(const OpDescriptor& op,
+                                          std::optional<int64_t> state) {
+  switch (op.code) {
+    case ops::kWrite:
+      return op.arg;
+    case ops::kCellAdd:
+      return WrapAdd(state.value_or(0), op.arg);
+    case ops::kCellDelete:
+      return std::nullopt;
+    default:  // ops::kRead
+      return state;
+  }
+}
 
 /// Look up a built-in data type by name; nullptr if unknown. Returned
 /// pointer is a process-lifetime singleton.

@@ -1,5 +1,6 @@
 #include "serial/transaction_automaton.h"
 
+#include "serial/data_type.h"
 #include "util/strings.h"
 
 namespace nestedtx {
@@ -26,7 +27,7 @@ bool ScriptedTransaction::IsOutput(const Event& e) const {
 
 Value ScriptedTransaction::AggregateValue() const {
   Value sum = 0;
-  for (const auto& [child, v] : reports_) sum += v;
+  for (const auto& [child, v] : reports_) sum = WrapAdd(sum, v);
   return sum;
 }
 

@@ -161,7 +161,7 @@ TEST(CcPolicyLockWordTest, PreventionAbortEscalatesTheKey) {
 }
 
 // ---------------------------------------------------------------------
-// The retry-backoff livelock fix (see RetryExecutor::prevention_scopes_).
+// The retry-backoff livelock fix (see RetryBackoffDelayUs).
 
 TEST(CcPolicyBackoffTest, PreventionRetriesUseDistinctJitterScopes) {
   // Two transactions that abort each other on every collision only ever

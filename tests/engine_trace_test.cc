@@ -217,5 +217,68 @@ TEST(EngineTraceTest, TraceMatchesCommittedState) {
   EXPECT_EQ(last_write, 10);
 }
 
+// The "cell" operations are defined once (ApplyCellOp): every engine
+// path must return, leave behind and commit exactly what the model's
+// CellType::Apply computes, for every op on every start state —
+// absent, zero, negative and INT64_MAX (where Add wraps).
+TEST(EngineTraceTest, CellOpsMatchModelOnEveryPath) {
+  struct Path {
+    const char* name;
+    CcProtocol protocol;
+    bool traced;
+  };
+  const Path paths[] = {{"detect", CcProtocol::kDetect, false},
+                        {"occ", CcProtocol::kOcc, false},
+                        {"traced-occ", CcProtocol::kOcc, true}};
+  const OpDescriptor cell_ops[] = {{ops::kRead, 0},
+                                   {ops::kWrite, 42},
+                                   {ops::kCellAdd, 2},
+                                   {ops::kCellDelete, 0}};
+  const Value starts[] = {kAbsentValue, 0, -5, INT64_MAX};
+  const DataType* cell = FindDataType("cell");
+  ASSERT_NE(cell, nullptr);
+  for (const Path& path : paths) {
+    for (const OpDescriptor& op : cell_ops) {
+      for (const Value start : starts) {
+        SCOPED_TRACE(StrCat(path.name, " op ", op.code, " start ", start));
+        const auto [want_state, want_ret] = cell->Apply(start, op);
+        EngineOptions o = TracedOptions();
+        o.cc_protocol = path.protocol;
+        Database db(o);
+        if (path.traced) {
+          ASSERT_TRUE(db.EnableTracing().ok());
+        }
+        if (start != kAbsentValue) db.Preload("k", start);
+        auto t = db.Begin();
+        Status s;
+        std::optional<Value> ret;  // where the API returns the op's value
+        if (op.code == ops::kRead) {
+          auto r = t->TryGet("k");
+          s = r.status();
+          if (r.ok()) ret = r->value_or(kAbsentValue);
+        } else if (op.code == ops::kCellAdd) {
+          auto r = t->Add("k", op.arg);
+          s = r.status();
+          if (r.ok()) ret = *r;
+        } else if (op.code == ops::kWrite) {
+          s = t->Put("k", op.arg);
+        } else {
+          s = t->Delete("k");
+        }
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        if (ret.has_value()) {
+          EXPECT_EQ(*ret, want_ret);
+        }
+        auto seen = t->TryGet("k");
+        ASSERT_TRUE(seen.ok());
+        EXPECT_EQ(seen->value_or(kAbsentValue), want_state);
+        ASSERT_TRUE(t->Commit().ok());
+        EXPECT_EQ(db.ReadCommitted("k").value_or(kAbsentValue), want_state);
+        if (path.traced) ValidateTrace(db);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nestedtx

@@ -5,8 +5,10 @@
 #include "explore/random_walk.h"
 #include "explore/workload.h"
 #include "serial/basic_object.h"
+#include "serial/data_type.h"
 #include "serial/serial_scheduler.h"
 #include "serial/serial_system.h"
+#include "serial/transaction_automaton.h"
 #include "tx/visibility.h"
 #include "tx/well_formed.h"
 
@@ -200,6 +202,28 @@ TEST(BasicObjectTest, RejectsResponseWithoutCreate) {
   BasicObject x0(&st, 0);
   const TransactionId add = TransactionId::Root().Child(0).Child(1);
   EXPECT_FALSE(x0.Apply(Event::RequestCommit(add, 5)).ok());
+}
+
+// A transaction's commit value is the sum of its children's reports,
+// wrapping in two's complement like the engine's trace aggregate.
+TEST(ScriptedTransactionTest, AggregateWrapsOnOverflow) {
+  SystemTypeBuilder b;
+  const ObjectId x = b.AddObject("x", "cell");
+  const TransactionId t = b.AddInternal(TransactionId::Root());
+  const TransactionId a0 =
+      b.AddAccess(t, x, AccessKind::kRead, {ops::kRead, 0});
+  const TransactionId a1 =
+      b.AddAccess(t, x, AccessKind::kRead, {ops::kRead, 0});
+  SystemType st = b.Build();
+  ScriptedTransaction txn(&st, t);
+  ASSERT_TRUE(txn.Apply(Event::Create(t)).ok());
+  ASSERT_TRUE(txn.Apply(Event::RequestCreate(a0)).ok());
+  ASSERT_TRUE(txn.Apply(Event::RequestCreate(a1)).ok());
+  ASSERT_TRUE(txn.Apply(Event::ReportCommit(a0, INT64_MAX)).ok());
+  ASSERT_TRUE(txn.Apply(Event::ReportCommit(a1, 2)).ok());
+  const std::vector<Event> out = txn.EnabledOutputs();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], Event::RequestCommit(t, INT64_MIN + 1));
 }
 
 }  // namespace

@@ -294,5 +294,23 @@ TEST(TransactionTest, GetForUpdateIsAbortSafe) {
   EXPECT_EQ(db.ReadCommitted("k").value(), 5);
 }
 
+// Add wraps around in two's complement (the "cell" model's kCellAdd
+// does the same) instead of overflowing, on both protocol families.
+TEST(TransactionTest, AddWrapsOnOverflow) {
+  for (CcProtocol protocol : {CcProtocol::kDetect, CcProtocol::kOcc}) {
+    SCOPED_TRACE(CcProtocolName(protocol));
+    EngineOptions o = FastTimeout();
+    o.cc_protocol = protocol;
+    Database db(o);
+    db.Preload("k", INT64_MAX);
+    auto t = db.Begin();
+    auto r = t->Add("k", 2);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, INT64_MIN + 1);
+    ASSERT_TRUE(t->Commit().ok());
+    EXPECT_EQ(db.ReadCommitted("k"), std::optional<int64_t>(INT64_MIN + 1));
+  }
+}
+
 }  // namespace
 }  // namespace nestedtx
