@@ -12,10 +12,15 @@
 //     worst-case work;
 //   - admission on/off: an oversubscribed thread count with and without
 //     the gate — sheds convert queue collapse into accounted rejections.
+// And one zero-fault table: what the retry loop itself costs per
+// transaction when nothing fails, through Database::RunTransaction and
+// through one RetryExecutor shared by every thread.
 //
 // A "unit" is one logical top-level piece of work: all its retries count
 // toward its single latency sample, so p99 measures what a caller
 // actually waits. Run with --json to write BENCH_bench_chaos.json.
+#include <time.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -97,6 +102,13 @@ void ArmSites(uint32_t one_in) {
   backoff.timeout_one_in = one_in;
   FailPoints::Enable(FailPoints::kRetryBackoff, backoff);
   FailPoints::Seed(0xE12E12ULL);
+}
+
+uint64_t ThreadCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ULL +
+         static_cast<uint64_t>(ts.tv_nsec);
 }
 
 double PercentileMs(std::vector<double>& latencies_ms, double q) {
@@ -234,6 +246,84 @@ void Report(bench::JsonResultFile& out, const std::string& name,
       .Int("injections", r.injections);
 }
 
+// Zero-fault loop cost: each thread commits a fixed number of one-key
+// Add transactions on a key of its own (no conflicts, so no retries),
+// either through Database::RunTransaction or through one RetryExecutor
+// all threads share. Reported as wall microseconds per transaction per
+// thread: flat in the thread count when the loop shares nothing. The
+// workers' summed thread CPU time per transaction rides along as the
+// low-noise companion on a shared host. An untimed warm-up of a tenth
+// as many transactions per thread runs first (allocator, lock table and
+// span stripes settle before the clock).
+bool RunLoopCell(bench::JsonResultFile& out, bool shared_executor,
+                 int threads) {
+  const int per_thread = bench::Smoke() ? 200 : 200000;
+  const int warmup = per_thread / 10;
+  Database db;
+  RetryExecutor ex(&db);
+  std::vector<std::string> keys;
+  for (int t = 0; t < threads; ++t) {
+    keys.push_back(StrCat("k", t));
+    db.Preload(keys.back(), 0);
+  }
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::atomic<uint64_t> failed{0};
+  std::atomic<uint64_t> cpu_ns{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      const std::string& key = keys[static_cast<size_t>(t)];
+      const Database::TxnBody body = [&key](Transaction& tx) {
+        return tx.Add(key, 1).status();
+      };
+      auto run = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+          const Status s =
+              shared_executor ? ex.Run(body) : db.RunTransaction(8, body);
+          if (!s.ok()) failed.fetch_add(1);
+        }
+      };
+      run(warmup);
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      const uint64_t cpu_start = ThreadCpuNs();
+      run(per_thread);
+      cpu_ns.fetch_add(ThreadCpuNs() - cpu_start);
+    });
+  }
+  while (ready.load() < threads) std::this_thread::yield();
+  Stopwatch clock;
+  go.store(true);
+  for (auto& w : workers) w.join();
+  const double seconds = clock.ElapsedSeconds();
+  // Self-check: the store holds exactly the committed Adds.
+  int64_t sum = 0;
+  for (const std::string& key : keys) sum += db.ReadCommitted(key).value_or(0);
+  const bool exact = sum == int64_t{threads} * (warmup + per_thread) -
+                                static_cast<int64_t>(failed.load());
+  const double us_per_txn = seconds * 1e6 / per_thread;
+  const double cpu_us_per_txn =
+      static_cast<double>(cpu_ns.load()) / 1e3 / (threads * per_thread);
+  const char* loop = shared_executor ? "shared_executor" : "run_transaction";
+  std::printf(
+      "%-16s threads=%d | %6.3f us/txn/thread %6.3f cpu_us/txn %9.0f txn/s "
+      "failed=%llu\n",
+      loop, threads, us_per_txn, cpu_us_per_txn, threads * per_thread / seconds,
+      static_cast<unsigned long long>(failed.load()));
+  out.Add(StrCat("loop_", loop, "_t", threads))
+      .Int("fault_one_in", 0)
+      .Int("threads", static_cast<unsigned long long>(threads))
+      .Int("txns_per_thread", static_cast<unsigned long long>(per_thread))
+      .Num("duration_seconds", seconds)
+      .Num("us_per_txn_per_thread", us_per_txn)
+      .Num("cpu_us_per_txn", cpu_us_per_txn)
+      .Num("txn_per_sec", threads * per_thread / seconds)
+      .Int("failed", failed.load())
+      .Int("effects_exact", exact ? 1 : 0);
+  return exact;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -265,6 +355,21 @@ int main(int argc, char** argv) {
     }
     Report(out, admit != 0 ? "admission_on" : "admission_off", cfg,
            RunChaosCell(cfg));
+  }
+
+  std::printf("-- E12d: retry-loop cost with no faults (one-key Add) --\n");
+  std::vector<int> thread_counts = {1, 2};
+  const int nproc = static_cast<int>(std::thread::hardware_concurrency());
+  if (nproc > 2) thread_counts.push_back(nproc);
+  bool exact = true;
+  for (int threads : thread_counts) {
+    for (bool shared_executor : {false, true}) {
+      exact &= RunLoopCell(out, shared_executor, threads);
+    }
+  }
+  if (!exact) {
+    std::fprintf(stderr, "E12d: committed Adds missing from the store\n");
+    return 1;
   }
 
   if (bench::HasFlag(argc, argv, "--json") && !out.Write()) {

@@ -23,6 +23,7 @@
 
 #include "bench_json.h"
 #include "core/database.h"
+#include "core/retry.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
@@ -213,7 +214,7 @@ inline Status RunLevel(TxnRun& run, Transaction& parent, int level) {
       if (s.ok()) return Status::OK();
     }
     if (!(*child)->returned()) (*child)->Abort();
-    if (!s.IsAborted() && !s.IsDeadlock() && !s.IsTimedOut()) return s;
+    if (!IsRetryable(s)) return s;
     run.remaining = saved_remaining;  // redo the subtree's work
   }
   return Status::Aborted("subtree failed twice");
@@ -285,7 +286,7 @@ inline WorkloadResult RunWorkload(const WorkloadConfig& raw_cfg) {
             if (s.ok()) break;
           }
           if (!txn->returned()) txn->Abort();
-          if (!s.IsAborted() && !s.IsDeadlock() && !s.IsTimedOut()) break;
+          if (!IsRetryable(s)) break;
         }
         attempts.fetch_add(attempt + 1);
         if (s.ok()) {

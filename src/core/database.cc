@@ -1,11 +1,8 @@
 #include "core/database.h"
 
-#include <chrono>
 #include <thread>
 
 #include "core/retry.h"
-#include "util/cleanup.h"
-#include "util/strings.h"
 
 namespace nestedtx {
 
@@ -134,55 +131,17 @@ std::string Database::ExportMetricsJson() {
 }
 
 Status Database::RunTransaction(int max_attempts, const TxnBody& body) {
-  // Managed top-level execution passes the admission gate (no-op unless
-  // configured); the slot spans all attempts so a retried transaction
-  // never re-queues behind fresh arrivals.
-  RETURN_IF_ERROR(manager_.AdmitTopLevel());
-  auto release = MakeCleanup([this] { manager_.ReleaseTopLevel(); });
-  Status last = Status::Internal("no attempts made");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    std::unique_ptr<Transaction> txn = Begin();
-    if (txn == nullptr) return manager_.failure();  // engine poisoned
-    Status s = body(*txn);
-    if (s.ok()) {
-      s = txn->Commit();
-      if (s.ok()) return Status::OK();
-    }
-    if (!txn->returned()) txn->Abort();
-    if (!Retryable(s)) return s;
-    last = s;
-    // RetryExecutor's schedule (50 us .. 12.8 ms, jittered from the
-    // failed attempt's own id): under a persistent collision (two
-    // transactions that keep choosing each other as deadlock victims),
-    // desynchronizing the retries is what breaks the livelock.
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        RetryBackoffDelayUs(RetryPolicy{}, txn->id(), attempt + 1)));
-  }
-  return Status::Aborted(
-      StrCat("transaction gave up after ", max_attempts,
-             " attempts; last: ", last.ToString()));
+  RetryPolicy policy;
+  policy.max_attempts = max_attempts;
+  return RetryExecutor(this, policy).Run(body);
 }
 
 Status Database::RunNested(Transaction& parent, int max_attempts,
                            const TxnBody& body) {
-  Status last = Status::Internal("no attempts made");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    Result<std::unique_ptr<Transaction>> child = parent.BeginChild();
-    if (!child.ok()) return child.status();
-    Status s = body(**child);
-    if (s.ok()) {
-      s = (*child)->Commit();
-      if (s.ok()) return Status::OK();
-    }
-    if (!(*child)->returned()) (*child)->Abort();
-    if (!Retryable(s)) return s;
-    last = s;
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        RetryBackoffDelayUs(RetryPolicy{}, (*child)->id(), attempt + 1)));
-  }
-  return Status::Aborted(
-      StrCat("subtransaction gave up after ", max_attempts,
-             " attempts; last: ", last.ToString()));
+  RetryPolicy policy;
+  policy.max_attempts = max_attempts;
+  policy.escalate_cancels_parent = false;
+  return RetryExecutor(parent.manager(), policy).RunChild(parent, body);
 }
 
 }  // namespace nestedtx

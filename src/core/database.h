@@ -80,12 +80,18 @@ class Database {
   /// abort (the error is propagated or retried).
   using TxnBody = std::function<Status(Transaction&)>;
 
-  /// Run `body` as a top-level transaction, retrying on Deadlock /
-  /// TimedOut / Aborted up to `max_attempts` times.
+  /// Run `body` as a top-level transaction with up to `max_attempts`
+  /// attempts (at least 1): RetryExecutor::Run under the default
+  /// RetryPolicy. Retries what IsRetryable (core/retry.h) admits, backs
+  /// off before each retry, and counts in retries_attempted /
+  /// retries_exhausted and the retry_backoff_ns histogram.
   Status RunTransaction(int max_attempts, const TxnBody& body);
 
-  /// Run `body` as a subtransaction of `parent` with the same retry
-  /// policy — the partial-abort idiom: only this subtree retries.
+  /// Run `body` as a subtransaction of `parent` with up to `max_attempts`
+  /// attempts — the partial-abort idiom: only this subtree retries.
+  /// RetryExecutor::RunChild under the default RetryPolicy, except that
+  /// giving up never cancels `parent`: the caller decides what a failed
+  /// subtree means (ReplicatedKV moves on to the next copy).
   static Status RunNested(Transaction& parent, int max_attempts,
                           const TxnBody& body);
 
@@ -113,18 +119,6 @@ class Database {
   std::string ExportMetricsJson();
 
  private:
-  static bool Retryable(const Status& s) {
-    // IoError is a failed WAL append: the commit aborted cleanly BEFORE
-    // any effect installed, so retrying is safe and may succeed on a
-    // healthy shard. DurabilityLost is the post-install flush failure
-    // and is deliberately absent: the effects are already applied in
-    // memory, and re-running the body would double-apply them (an Add
-    // would add twice — and the retry would typically hash to a healthy
-    // shard and be acked durable).
-    return s.IsDeadlock() || s.IsTimedOut() || s.IsAborted() ||
-           s.IsIoError();
-  }
-
   // Background auto-checkpoint (wal_checkpoint_every_bytes > 0): the
   // flush leader's trigger just flips ckpt_requested_ under ckpt_mutex_
   // (it runs with a shard mutex held, so it must stay cheap); this

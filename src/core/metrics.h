@@ -54,7 +54,8 @@ inline uint64_t MonotonicNowNs() {
   X(kHistCommitReleaseNs, commit_release_ns)                           \
   /* OnAbort release-batch duration (version purge) */                 \
   X(kHistAbortReleaseNs, abort_release_ns)                             \
-  /* RetryExecutor backoff sleeps (actual, not planned) */             \
+  /* backoff sleeps before a retry (actual, not planned), by any       \
+     managed loop: RetryExecutor, hence RunTransaction / RunNested */  \
   X(kHistRetryBackoffNs, retry_backoff_ns)                             \
   /* top-level transaction begin..outcome, commits and aborts alike */ \
   X(kHistTxnNs, txn_ns)                                                \

@@ -25,17 +25,31 @@ uint64_t RetryBackoffDelayUs(const RetryPolicy& policy,
   return rng.Uniform(ceiling) + 1;
 }
 
-RetryExecutor::RetryExecutor(Database* db, RetryPolicy policy)
-    : db_(db), policy_(policy) {
+namespace {
+
+// The pool of the tree whose Run body is executing on this thread (see
+// the lookup rule in retry.h). Run saves and restores it, so a Run
+// nested in another Run's body leaves the outer tree's slot intact.
+struct TreeSlot {
+  const RetryExecutor* owner = nullptr;
+  uint32_t top_index = 0;  // TransactionId path[0] of the live attempt
+  int* remaining = nullptr;
+};
+thread_local TreeSlot tls_tree;
+
+}  // namespace
+
+RetryExecutor::RetryExecutor(TransactionManager& manager, RetryPolicy policy)
+    : manager_(manager), policy_(policy) {
   if (policy_.max_attempts < 1) policy_.max_attempts = 1;
   if (policy_.max_attempts_top < 1) {
     policy_.max_attempts_top = policy_.max_attempts;
   }
 }
 
-bool RetryExecutor::ConsumeRetry(TreeState* tree) {
+bool RetryExecutor::ConsumeRetry(int* remaining) const {
   if (policy_.tree_budget <= 0) return true;
-  return tree->remaining.fetch_sub(1, std::memory_order_relaxed) > 0;
+  return (*remaining)-- > 0;
 }
 
 Status RetryExecutor::Backoff(const TransactionId& scope, int attempt) {
@@ -45,7 +59,7 @@ Status RetryExecutor::Backoff(const TransactionId& scope, int attempt) {
   if (us > 0) {
     // Histogram the sleep actually taken (the scheduler may oversleep),
     // not the planned delay.
-    MetricsRegistry& metrics = db_->manager().metrics();
+    MetricsRegistry& metrics = manager_.metrics();
     const uint64_t start_ns = metrics.enabled() ? MonotonicNowNs() : 0;
     std::this_thread::sleep_for(std::chrono::microseconds(us));
     if (metrics.enabled()) {
@@ -55,7 +69,12 @@ Status RetryExecutor::Backoff(const TransactionId& scope, int attempt) {
   return injected;
 }
 
-void RetryExecutor::AbortQuietly(Transaction& txn) {
+void RetryExecutor::AbortFailed(Transaction& txn) {
+  if (txn.returned()) return;
+  // Doom first only if children on other threads may be parked in lock
+  // waits: they wake with Cancelled now, and the abort below (once they
+  // unwound) lifts the doom.
+  if (txn.active_children() > 0) txn.Cancel();
   while (!txn.returned()) {
     if (txn.Abort().ok()) return;
     // Abort refuses while children are active: a body handed child
@@ -64,101 +83,58 @@ void RetryExecutor::AbortQuietly(Transaction& txn) {
   }
 }
 
-bool RetryExecutor::RetryableForChild(const Status& s,
-                                      const Transaction& parent) const {
-  // IoError: the WAL append failed and the commit aborted cleanly
-  // without installing effects, so a retry on a healthy shard is safe.
-  // DurabilityLost (a flush failure AFTER install) is deliberately not
-  // retryable — the effects are already applied; re-running the body
-  // would double-apply them.
-  if (s.IsDeadlock() || s.IsTimedOut() || s.IsAborted() || s.IsIoError()) {
-    return true;
-  }
-  // Cancelled: the failed child's own doom lifted when it aborted. Retry
-  // only if the enclosing scope is not itself doomed — if an ancestor is
-  // being cancelled, this whole subtree is an orphan and must unwind,
-  // not spin.
-  if (s.IsCancelled()) {
-    return !db_->manager().locks().IsDoomed(parent.id());
-  }
-  return false;
-}
-
-std::shared_ptr<RetryExecutor::TreeState> RetryExecutor::FindTree(
-    uint32_t top_index) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = trees_.find(top_index);
-  return it == trees_.end() ? nullptr : it->second;
-}
-
-void RetryExecutor::RegisterTree(uint32_t top_index,
-                                 std::shared_ptr<TreeState> tree) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  trees_[top_index] = std::move(tree);
-}
-
-void RetryExecutor::UnregisterTree(uint32_t top_index) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  trees_.erase(top_index);
+bool RetryExecutor::RetryableUnder(const Status& s,
+                                   const Transaction& parent) const {
+  // A failed child's own doom lifted when it aborted; a doom on the
+  // parent means this whole subtree is an orphan.
+  return IsRetryable(s) &&
+         !(s.IsCancelled() && manager_.locks().IsDoomed(parent.id()));
 }
 
 Status RetryExecutor::Run(const Database::TxnBody& body) {
-  RETURN_IF_ERROR(db_->manager().AdmitTopLevel());
-  auto release =
-      MakeCleanup([this] { db_->manager().ReleaseTopLevel(); });
+  RETURN_IF_ERROR(manager_.AdmitTopLevel());
+  auto release = MakeCleanup([this] { manager_.ReleaseTopLevel(); });
 
   // One budget pool for the whole logical unit of work: every attempt of
-  // the top level AND every nested RunChild inside any attempt draw from
-  // it (attempts run under distinct top-level ids; the pool is keyed per
-  // attempt below so nested scopes find it).
-  auto tree = std::make_shared<TreeState>();
-  tree->remaining.store(policy_.tree_budget, std::memory_order_relaxed);
+  // the top level AND every RunChild its body runs on this thread draw
+  // from it.
+  int remaining = policy_.tree_budget;
+  const TreeSlot enclosing = tls_tree;
+  auto restore = MakeCleanup([enclosing] { tls_tree = enclosing; });
 
-  Status last = Status::Internal("no attempts made");
-  bool budget_exhausted = false;
+  // Both are set by the failed attempt before anything reads them.
+  Status last;
   // Jitter from the failed attempt's own id (see RetryBackoffDelayUs).
   TransactionId backoff_scope;
+  bool budget_exhausted = false;
   for (int attempt = 0; attempt < policy_.max_attempts_top; ++attempt) {
     if (attempt > 0) {
-      if (!ConsumeRetry(tree.get())) {
+      if (!ConsumeRetry(&remaining)) {
         budget_exhausted = true;
         break;
       }
-      db_->stats().Add(kStatRetriesAttempted);
+      manager_.stats().Add(kStatRetriesAttempted);
       const Status injected = Backoff(backoff_scope, attempt);
       if (!injected.ok()) {
         last = injected;  // injected fault consumes the attempt
         continue;
       }
     }
-    std::unique_ptr<Transaction> txn = db_->Begin();
-    if (txn == nullptr) return db_->manager().failure();  // engine poisoned
-    backoff_scope = txn->id();
+    std::unique_ptr<Transaction> txn = manager_.Begin();
+    if (txn == nullptr) return manager_.failure();  // engine poisoned
     txn->NoteRetryAttempt(static_cast<uint32_t>(attempt));
-    const uint32_t top_index = txn->id()[0];
-    RegisterTree(top_index, tree);
-    auto unregister =
-        MakeCleanup([this, top_index] { UnregisterTree(top_index); });
+    tls_tree = TreeSlot{this, txn->id()[0], &remaining};
     Status s = body(*txn);
     if (s.ok()) {
       s = txn->Commit();
       if (s.ok()) return Status::OK();
     }
-    if (!txn->returned()) {
-      if (policy_.cancel_subtree_on_retry) txn->Cancel();
-      AbortQuietly(*txn);
-    }
-    // A fresh attempt runs under a fresh top-level id, so a Cancelled
-    // verdict against the dead tree never taints the next one.
-    // DurabilityLost stays out of the list: the attempt's effects are
-    // installed, so it must propagate, not re-run.
-    if (!s.IsDeadlock() && !s.IsTimedOut() && !s.IsAborted() &&
-        !s.IsCancelled() && !s.IsIoError()) {
-      return s;
-    }
+    AbortFailed(*txn);
+    if (!IsRetryable(s)) return s;
     last = s;
+    backoff_scope = txn->id();
   }
-  db_->stats().Add(kStatRetriesExhausted);
+  manager_.stats().Add(kStatRetriesExhausted);
   return Status::Aborted(StrCat(
       "transaction gave up (",
       budget_exhausted ? "tree retry budget exhausted" : "attempt limit",
@@ -168,26 +144,24 @@ Status RetryExecutor::Run(const Database::TxnBody& body) {
 
 Status RetryExecutor::RunChild(Transaction& parent,
                                const Database::TxnBody& body) {
-  std::shared_ptr<TreeState> tree = FindTree(parent.id()[0]);
-  if (tree == nullptr) {
-    // Caller began the tree outside Run() (raw Begin): budget this
-    // subtree in isolation.
-    tree = std::make_shared<TreeState>();
-    tree->remaining.store(policy_.tree_budget, std::memory_order_relaxed);
+  int isolated = policy_.tree_budget;
+  int* remaining = &isolated;
+  if (tls_tree.owner == this && tls_tree.top_index == parent.id()[0]) {
+    remaining = tls_tree.remaining;
   }
 
-  Status last = Status::Internal("no attempts made");
-  bool budget_exhausted = false;
+  Status last;  // set by the failed attempt before anything reads it
   // As in Run(), the scope tracks the failed child (fresh child indices
   // per attempt); a failed BeginChild keeps the previous scope.
   TransactionId backoff_scope = parent.id();
+  bool budget_exhausted = false;
   for (int attempt = 0; attempt < policy_.max_attempts; ++attempt) {
     if (attempt > 0) {
-      if (!ConsumeRetry(tree.get())) {
+      if (!ConsumeRetry(remaining)) {
         budget_exhausted = true;
         break;
       }
-      db_->stats().Add(kStatRetriesAttempted);
+      manager_.stats().Add(kStatRetriesAttempted);
       const Status injected = Backoff(backoff_scope, attempt);
       if (!injected.ok()) {
         last = injected;
@@ -196,34 +170,24 @@ Status RetryExecutor::RunChild(Transaction& parent,
     }
     Result<std::unique_ptr<Transaction>> child = parent.BeginChild();
     if (!child.ok()) {
-      // Injected begin faults are transient: consume this attempt. A
-      // parent-scope refusal (returned, doomed, orphaned) is not ours
-      // to retry — unwind.
-      if (child.status().IsDeadlock() || child.status().IsTimedOut() ||
-          child.status().IsIoError()) {
-        last = child.status();
-        continue;
-      }
-      return child.status();
+      // An injected begin fault consumes this attempt; a parent-scope
+      // refusal (returned, doomed) is not ours to retry.
+      if (!RetryableUnder(child.status(), parent)) return child.status();
+      last = child.status();
+      continue;
     }
-    backoff_scope = (*child)->id();
     (*child)->NoteRetryAttempt(static_cast<uint32_t>(attempt));
     Status s = body(**child);
     if (s.ok()) {
       s = (*child)->Commit();
       if (s.ok()) return Status::OK();
     }
-    if (!(*child)->returned()) {
-      // Doom the failed subtree FIRST so descendants parked in lock
-      // waits on other threads wake with Cancelled now; the abort that
-      // follows (once the body's threads unwound) lifts the doom.
-      if (policy_.cancel_subtree_on_retry) (*child)->Cancel();
-      AbortQuietly(**child);
-    }
-    if (!RetryableForChild(s, parent)) return s;
+    AbortFailed(**child);
+    if (!RetryableUnder(s, parent)) return s;
     last = s;
+    backoff_scope = (*child)->id();
   }
-  db_->stats().Add(kStatRetriesExhausted);
+  manager_.stats().Add(kStatRetriesExhausted);
   // Escalation: this subtree cannot make progress, so the parent will
   // have to abort or retry — stop sibling work that can no longer
   // usefully commit. The parent's own Abort lifts the doom.

@@ -21,16 +21,13 @@
 //
 // Retry is NOT attempted for semantic failures (InvalidArgument,
 // NotFound surfaced as errors, FailedPrecondition) or for admission
-// sheds (Overloaded): only Deadlock, TimedOut, Aborted and — once the
-// enclosing scope is clear of doom — Cancelled are considered transient.
+// sheds (Overloaded); IsRetryable below is the one rule, and every
+// managed loop applies it: RetryExecutor::Run and RunChild, hence
+// Database::RunTransaction and RunNested, which are thin calls into them.
 #ifndef NESTEDTX_CORE_RETRY_H_
 #define NESTEDTX_CORE_RETRY_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "core/database.h"
 #include "tx/transaction_id.h"
@@ -38,8 +35,9 @@
 
 namespace nestedtx {
 
-/// Knobs for RetryExecutor. The defaults (8 attempts, 50us..12.8ms
-/// backoff) are also Database::RunTransaction's and RunNested's.
+/// Knobs for RetryExecutor. Database::RunTransaction and RunNested run
+/// with the defaults (50us..12.8ms backoff, no tree budget) and their
+/// own attempt count; RunNested also turns escalate_cancels_parent off.
 struct RetryPolicy {
   /// Attempts per subtree retry scope (the initial run counts as one).
   /// Kept deliberately small: a subtree retry cannot release
@@ -54,10 +52,10 @@ struct RetryPolicy {
   /// useful where subtree bounds are not. 0 = same as max_attempts.
   int max_attempts_top = 0;
 
-  /// Shared re-run budget for one transaction tree: every retry anywhere
-  /// in the tree (the top-level loop and all nested RunChild loops)
-  /// draws from the same pool, so a storm of failing subtrees cannot
-  /// multiply work combinatorially. 0 = unlimited.
+  /// Shared re-run budget for one transaction tree: the top-level loop
+  /// and the nested RunChild loops its body runs draw from the same pool
+  /// (lookup rule: see RetryExecutor), so a storm of failing subtrees
+  /// cannot multiply work combinatorially. 0 = unlimited.
   int tree_budget = 0;
 
   /// Exponential backoff before the n-th retry: jittered uniform in
@@ -70,14 +68,11 @@ struct RetryPolicy {
   /// backoff schedules in tests.
   uint64_t seed = 0xbac0ffULL;
 
-  /// Cancel (doom) a failed subtree before aborting it, so descendants
-  /// parked in lock waits on other threads wake with Status::Cancelled
-  /// immediately instead of sleeping out lock_timeout.
-  bool cancel_subtree_on_retry = true;
-
   /// When a subtree exhausts its attempts, cancel the parent's subtree
   /// before reporting failure: sibling work that can no longer commit
   /// usefully (the parent is about to abort or retry) stops early.
+  /// Database::RunNested turns it off: a replicated quorum's failed copy
+  /// must abort only its own call and leave the parent committable.
   bool escalate_cancels_parent = true;
 };
 
@@ -90,12 +85,42 @@ struct RetryPolicy {
 uint64_t RetryBackoffDelayUs(const RetryPolicy& policy,
                              const TransactionId& scope, int attempt);
 
+/// The retry rule: true iff an attempt that failed with `s` can be
+/// aborted and re-run under a fresh id without applying anything twice.
+/// Deadlock, TimedOut, Aborted and Cancelled are transient (a fresh
+/// attempt's id matches no stale doom); IoError is a WAL append that
+/// failed before any effect was installed. DurabilityLost is not: the
+/// effects are installed, and a re-run would apply them again.
+/// RunChild adds one rule of its own (see there).
+inline bool IsRetryable(const Status& s) {
+  return s.IsDeadlock() || s.IsTimedOut() || s.IsAborted() ||
+         s.IsCancelled() || s.IsIoError();
+}
+
 /// Runs transaction bodies with subtree-granular retry. Thread-safe: one
-/// executor may serve many threads; nested RunChild calls made inside a
-/// Run body automatically share that tree's retry budget.
+/// executor may serve many threads and shares no mutable state between
+/// them.
+///
+/// Tree budget lookup: Run keeps its tree's pool (RetryPolicy::
+/// tree_budget) in a thread-local slot for the duration of its body. A
+/// RunChild on the thread running that body, under a parent of the same
+/// tree, draws from that pool. Any other RunChild — on a thread the body
+/// handed a handle to, or under a tree begun with a raw Begin() — gets a
+/// pool of its own, sized tree_budget, for this one call.
+///
+/// Cancellation: a failed attempt is cancelled (its subtree doomed) before
+/// its abort only while it still has live children, i.e. handles the body
+/// gave to other threads. Only those can be parked in a lock wait the
+/// doom wakes; any live doom costs every thread's IsDoomed the doom mutex
+/// and turns off lock-word fast grants, so a failed attempt without live
+/// children is aborted without one.
 class RetryExecutor {
  public:
-  explicit RetryExecutor(Database* db, RetryPolicy policy = {});
+  explicit RetryExecutor(Database* db, RetryPolicy policy = {})
+      : RetryExecutor(db->manager(), policy) {}
+  /// The same, for a caller that holds only a transaction handle
+  /// (Database::RunNested passes parent.manager()).
+  RetryExecutor(TransactionManager& manager, RetryPolicy policy);
 
   /// Run `body` as a top-level transaction under the retry policy.
   /// Passes the admission gate first (Status::Overloaded when shed; the
@@ -104,41 +129,33 @@ class RetryExecutor {
   Status Run(const Database::TxnBody& body);
 
   /// Run `body` as a subtransaction of `parent`, retrying only this
-  /// subtree on transient failure. On exhaustion, escalates per policy
-  /// (cancels the parent's subtree) and returns the give-up status; the
-  /// caller's own retry scope decides what happens next.
+  /// subtree on transient failure. Beyond IsRetryable, Cancelled (from
+  /// the body or from BeginChild) is retried only while `parent` is not
+  /// doomed: under a cancelled ancestor the subtree is an orphan and must
+  /// unwind, not spin. On exhaustion, escalates per policy (cancels the
+  /// parent's subtree) and returns the give-up status; the caller's own
+  /// retry scope decides what happens next.
   Status RunChild(Transaction& parent, const Database::TxnBody& body);
 
   const RetryPolicy& policy() const { return policy_; }
 
  private:
-  /// Per-tree shared retry pool (see RetryPolicy::tree_budget).
-  struct TreeState {
-    std::atomic<int> remaining{0};
-  };
-
-  /// True if a retry may proceed (consumes one unit when budgeted).
-  bool ConsumeRetry(TreeState* tree);
+  /// True if a retry may proceed (consumes one unit of `*remaining` when
+  /// budgeted).
+  bool ConsumeRetry(int* remaining) const;
   /// Backoff before retry `attempt` of `scope`; kRetryBackoff failpoint
   /// may inject a failure, returned for the caller to count as a failed
   /// attempt.
   Status Backoff(const TransactionId& scope, int attempt);
-  /// Abort `txn`, waiting out any children a body leaked to other
-  /// threads (Abort refuses while children are active).
-  static void AbortQuietly(Transaction& txn);
-  /// Transient-failure test for a child scope under `parent`.
-  bool RetryableForChild(const Status& s, const Transaction& parent) const;
+  /// Abort a failed attempt: cancel it first if it has live children
+  /// (see the class comment), then wait out any children a body leaked
+  /// to other threads (Abort refuses while children are active).
+  static void AbortFailed(Transaction& txn);
+  /// IsRetryable plus RunChild's rule for Cancelled under `parent`.
+  bool RetryableUnder(const Status& s, const Transaction& parent) const;
 
-  std::shared_ptr<TreeState> FindTree(uint32_t top_index);
-  void RegisterTree(uint32_t top_index, std::shared_ptr<TreeState> tree);
-  void UnregisterTree(uint32_t top_index);
-
-  Database* db_;
+  TransactionManager& manager_;
   RetryPolicy policy_;
-  std::mutex mutex_;  // guards trees_
-  /// Live trees by top-level child index (TransactionId path[0]), so a
-  /// RunChild deep in a body finds the budget its Run attempt registered.
-  std::unordered_map<uint32_t, std::shared_ptr<TreeState>> trees_;
 };
 
 }  // namespace nestedtx

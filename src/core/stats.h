@@ -44,9 +44,10 @@ namespace nestedtx {
   X(kStatWakeupsCoalesced, wakeups_coalesced)                             \
   /* lock waits ended by orphan cancellation */                           \
   X(kStatWaitsCancelled, waits_cancelled)                                 \
-  /* RetryExecutor re-runs after a failed attempt */                      \
+  /* re-runs after a failed attempt, by any managed retry loop            \
+     (RetryExecutor, hence RunTransaction / RunNested) */                 \
   X(kStatRetriesAttempted, retries_attempted)                             \
-  /* retry loops that gave up (budget/attempts) */                        \
+  /* managed retry loops that gave up (budget/attempts) */                \
   X(kStatRetriesExhausted, retries_exhausted)                             \
   /* top-level begins shed by the admission gate */                       \
   X(kStatAdmissionRejected, admission_rejected)                           \

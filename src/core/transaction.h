@@ -114,6 +114,9 @@ class Transaction {
   }
 
   const TransactionId& id() const { return id_; }
+  /// The engine this transaction belongs to (Database::RunNested builds
+  /// its retry loop from the parent handle alone).
+  TransactionManager& manager() const { return *manager_; }
   bool returned() const { return returned_.load(); }
   /// Children begun and not yet returned (diagnostic; racy by nature).
   int active_children() const { return active_children_.load(); }

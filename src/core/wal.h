@@ -294,9 +294,6 @@ class WriteAheadLog {
     std::string file;
   };
 
-  static void EncodeU32(std::string* out, uint32_t v);
-  static void EncodeU64(std::string* out, uint64_t v);
-
   Result<WalTicket> AppendRecord(uint64_t shard_hint,
                                  const std::string& body,
                                  bool release_follows);

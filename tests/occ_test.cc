@@ -322,7 +322,7 @@ TEST(OccTest, AdaptiveSwitchesUnderContentionAndBack) {
   // epoch now measures zero aborts and zero waits, so whatever phase
   // the storm ended in, the controller must settle back into (or pass
   // through) OCC — at least one more switch if phase 1 left us locking.
-  for (int i = 0; i < 3 * o.adaptive_epoch_txns + 1; ++i) {
+  for (uint32_t i = 0; i < 3 * o.adaptive_epoch_txns + 1; ++i) {
     Status s = db.RunTransaction(10, [&](Transaction& tx) -> Status {
       return tx.Put(StrCat("cold", i), 1);
     });

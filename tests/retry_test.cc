@@ -8,9 +8,11 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "core/database.h"
 #include "core/failpoints.h"
+#include "core/metrics.h"
 #include "core/retry.h"
 #include "util/strings.h"
 
@@ -264,6 +266,208 @@ TEST_F(RetryTest, BackoffIsDeterministicInSeedScopeAttempt) {
   RetryPolicy off = p;
   off.backoff_base_us = 0;
   EXPECT_EQ(RetryBackoffDelayUs(off, scope, 1), 0u);
+}
+
+// ---------------------------------------------------------------------
+// One retry loop: Database::RunTransaction / RunNested are RetryExecutor
+// calls, so they retry, back off and count exactly as Run / RunChild do.
+
+TEST_F(RetryTest, RunTransactionRetriesThroughTheExecutor) {
+  EngineOptions o;
+  o.span_sample_one_in = 1;  // every attempt carries a span
+  Database db(o);
+  int calls = 0;
+  Status s = db.RunTransaction(3, [&](Transaction& tx) -> Status {
+    ++calls;
+    RETURN_IF_ERROR(tx.Put("k", calls));
+    return Status::Aborted("always");
+  });
+  EXPECT_TRUE(s.IsAborted()) << s.ToString();
+  EXPECT_EQ(calls, 3);
+  EXPECT_FALSE(db.ReadCommitted("k").has_value());
+  // A backoff precedes each retry, none follows the last attempt: n
+  // attempts sleep n - 1 times.
+  EXPECT_EQ(db.metrics().SnapshotHistogram(kHistRetryBackoffNs).count, 2u);
+  const StatsSnapshot snap = db.stats().Snapshot();
+  EXPECT_EQ(snap.retries_attempted, 2u);
+  EXPECT_EQ(snap.retries_exhausted, 1u);
+  std::vector<uint32_t> attempts;
+  for (const TxnSpan& span : db.metrics().spans().Snapshot()) {
+    attempts.push_back(span.retry_attempt);
+  }
+  EXPECT_EQ(attempts, (std::vector<uint32_t>{0, 1, 2}));
+}
+
+TEST_F(RetryTest, RunNestedRetriesThroughTheExecutor) {
+  EngineOptions o;
+  o.span_sample_one_in = 1;
+  Database db(o);
+  auto top = db.Begin();
+  int calls = 0;
+  Status s = Database::RunNested(*top, 4, [&](Transaction&) -> Status {
+    return ++calls < 4 ? Status::TimedOut("transient") : Status::OK();
+  });
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(calls, 4);
+  ASSERT_TRUE(top->Commit().ok());
+  EXPECT_EQ(db.metrics().SnapshotHistogram(kHistRetryBackoffNs).count, 3u);
+  EXPECT_EQ(db.stats().Snapshot().retries_attempted, 3u);
+  EXPECT_EQ(db.stats().Snapshot().retries_exhausted, 0u);
+  uint32_t last_child_attempt = 0;
+  for (const TxnSpan& span : db.metrics().spans().Snapshot()) {
+    if (span.id.Depth() == 2) last_child_attempt = span.retry_attempt;
+  }
+  EXPECT_EQ(last_child_attempt, 3u);
+}
+
+TEST_F(RetryTest, FailedRunNestedLeavesParentCommittable) {
+  // The replicated quorum's contract: an unavailable copy aborts only its
+  // own RunNested call, exhausted or not; the parent is never cancelled.
+  Database db;
+  auto top = db.Begin();
+  ASSERT_TRUE(top->Put("base", 1).ok());
+  for (int attempts : {1, 3}) {
+    Status s = Database::RunNested(*top, attempts, [](Transaction& c) {
+      (void)c.Put("copy", 2);
+      return Status::Aborted("copy unavailable");
+    });
+    EXPECT_TRUE(s.IsAborted()) << s.ToString();
+    EXPECT_FALSE(db.manager().locks().IsDoomed(top->id()));
+    EXPECT_EQ(db.manager().locks().DoomedRootCount(), 0u);
+    EXPECT_EQ(top->active_children(), 0);
+  }
+  ASSERT_TRUE(top->Put("after", 3).ok());
+  ASSERT_TRUE(top->Commit().ok());
+  EXPECT_EQ(db.ReadCommitted("base"), 1);
+  EXPECT_EQ(db.ReadCommitted("after"), 3);
+  EXPECT_FALSE(db.ReadCommitted("copy").has_value());
+}
+
+TEST_F(RetryTest, ConcurrentTreesOnOneExecutorKeepTheirOwnBudgets) {
+  constexpr int kBudget = 4;
+  constexpr int kRunsPerThread = 40;
+  Database db;
+  RetryPolicy p;
+  p.max_attempts = 100;
+  p.tree_budget = kBudget;
+  p.backoff_base_us = 1;
+  p.backoff_cap_us = 2;
+  RetryExecutor ex(&db, p);
+  std::atomic<int> ready{0};
+  auto worker = [&](std::vector<int>* child_calls) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int run = 0; run < kRunsPerThread; ++run) {
+      int calls = 0;
+      Status s = ex.Run([&](Transaction& tx) -> Status {
+        return ex.RunChild(tx, [&](Transaction&) -> Status {
+          ++calls;
+          return Status::TimedOut("always");
+        });
+      });
+      EXPECT_TRUE(s.IsAborted()) << s.ToString();
+      child_calls->push_back(calls);
+    }
+  };
+  std::vector<int> a, b;
+  std::thread ta(worker, &a);
+  std::thread tb(worker, &b);
+  ta.join();
+  tb.join();
+  // Each tree drew only on its own pool: the first child attempt plus
+  // the whole budget, and the top-level retry then found it empty.
+  EXPECT_EQ(a, std::vector<int>(kRunsPerThread, 1 + kBudget));
+  EXPECT_EQ(b, std::vector<int>(kRunsPerThread, 1 + kBudget));
+  EXPECT_EQ(db.stats().Snapshot().retries_attempted,
+            uint64_t{2 * kRunsPerThread * kBudget});
+  EXPECT_EQ(db.manager().locks().DoomedRootCount(), 0u);
+}
+
+TEST_F(RetryTest, FailedAttemptWithoutLiveChildrenIsNeverDoomed) {
+  // A doom costs every thread the doom mutex and switches off fast
+  // grants; a failed attempt with no children on other threads has no
+  // one for it to wake. A delayed abort purge widens the window in which
+  // a cancel-then-abort would show a doomed root to the watcher.
+  FailPoints::Config slow;
+  slow.delay_one_in = 1;
+  slow.delay_us = 500;
+  FailPoints::Enable(FailPoints::kAbortPurge, slow);
+  Database db;
+  std::atomic<bool> done{false};
+  std::atomic<size_t> max_doomed{0};
+  std::thread watcher([&] {
+    while (!done.load()) {
+      const size_t n = db.manager().locks().DoomedRootCount();
+      if (n > max_doomed.load()) max_doomed.store(n);
+    }
+  });
+  RetryPolicy p;
+  p.backoff_base_us = 1;
+  p.backoff_cap_us = 2;
+  RetryExecutor ex(&db, p);
+  int top_calls = 0;
+  int child_calls = 0;
+  Status s = ex.Run([&](Transaction& tx) -> Status {
+    EXPECT_EQ(db.manager().locks().DoomedRootCount(), 0u);
+    RETURN_IF_ERROR(tx.Put("top", 1));
+    RETURN_IF_ERROR(ex.RunChild(tx, [&](Transaction& c) -> Status {
+      EXPECT_EQ(db.manager().locks().DoomedRootCount(), 0u);
+      RETURN_IF_ERROR(c.Put("child", 1));
+      return ++child_calls < 3 ? Status::Deadlock("victim") : Status::OK();
+    }));
+    return ++top_calls < 3 ? Status::Aborted("transient") : Status::OK();
+  });
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_TRUE(db.RunTransaction(3, [&](Transaction& tx) -> Status {
+                  RETURN_IF_ERROR(tx.Put("rt", 1));
+                  return Database::RunNested(tx, 3, [](Transaction& c) {
+                    (void)c.Put("rn", 1);
+                    return Status::TimedOut("always");
+                  });
+                }).IsAborted());
+  done.store(true);
+  watcher.join();
+  EXPECT_EQ(max_doomed.load(), 0u);
+  EXPECT_EQ(db.ReadCommitted("top"), 1);
+  EXPECT_EQ(db.ReadCommitted("child"), 1);
+  EXPECT_GE(db.stats().Snapshot().txns_aborted, 4u + 3u * 4u);
+}
+
+TEST_F(RetryTest, FailedAttemptCancelsItsLiveChildren) {
+  // The body hands a child to another thread, where it parks on a held
+  // lock, and fails without joining it: the executor dooms the attempt
+  // so the parked child wakes with Cancelled instead of sleeping out the
+  // lock timeout, then aborts the attempt once the child returned.
+  EngineOptions o;
+  o.lock_timeout = std::chrono::milliseconds(30000);
+  Database db(o);
+  auto holder = db.Begin();
+  ASSERT_TRUE(holder->Put("k", 1).ok());
+  RetryPolicy p;
+  p.max_attempts = 1;
+  RetryExecutor ex(&db, p);
+  std::thread waiter;
+  Status got;
+  const auto start = steady_clock::now();
+  Status s = ex.Run([&](Transaction& tx) -> Status {
+    Result<std::unique_ptr<Transaction>> child = tx.BeginChild();
+    RETURN_IF_ERROR(child.status());
+    waiter = std::thread([&got, c = std::move(*child)] {
+      got = c->Get("k").status();
+      (void)c->Abort();
+    });
+    while (db.manager().locks().ParkedWaiterCount() == 0) {
+      std::this_thread::yield();
+    }
+    return Status::Aborted("give up with a child still parked");
+  });
+  waiter.join();
+  EXPECT_TRUE(s.IsAborted()) << s.ToString();
+  EXPECT_TRUE(got.IsCancelled()) << got.ToString();
+  EXPECT_LT(steady_clock::now() - start, std::chrono::seconds(10));
+  ASSERT_TRUE(holder->Commit().ok());
+  EXPECT_EQ(db.manager().locks().DoomedRootCount(), 0u);
+  EXPECT_EQ(db.manager().locks().ParkedWaiterCount(), 0u);
 }
 
 // ---------------------------------------------------------------------

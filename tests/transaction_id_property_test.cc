@@ -158,7 +158,9 @@ TEST(TransactionIdPropertyTest, EqualityImpliesEqualHash) {
   for (int trial = 0; trial < 2000; ++trial) {
     const TransactionId a = FromRef(RandomRef(rng, kMaxDepth));
     const TransactionId b = FromRef(RandomRef(rng, kMaxDepth));
-    if (a == b) ASSERT_EQ(a.Hash(), b.Hash());
+    if (a == b) {
+      ASSERT_EQ(a.Hash(), b.Hash());
+    }
     TransactionId copy = a;
     ASSERT_EQ(copy, a);
     ASSERT_EQ(copy.Hash(), a.Hash());
@@ -173,7 +175,9 @@ TEST(TransactionIdPropertyTest, OrderingIsStrictWeakAndPreOrder) {
   for (size_t i = 0; i + 1 < ids.size(); ++i) {
     ASSERT_FALSE(ids[i + 1] < ids[i]);
     // An ancestor sorts no later than its descendant (pre-order).
-    if (ids[i + 1].IsAncestorOf(ids[i])) ASSERT_EQ(ids[i], ids[i + 1]);
+    if (ids[i + 1].IsAncestorOf(ids[i])) {
+      ASSERT_EQ(ids[i], ids[i + 1]);
+    }
   }
 }
 
