@@ -26,11 +26,11 @@ namespace {
 //       MICRO on an inflated word.
 //   PRESENT — whether the value cache (KeyState::hot.value) holds a
 //       value or a deletion/absence; maintained together with the cache.
-//   seq — bumped on every holder-set insertion (both regimes) and
-//       on every fast-regime structural change, so an unchanged seq
-//       proves the Moss no-conflict condition still holds, and an
-//       unchanged *word* additionally proves the value cache is current
-//       (the seqlock read lane).
+//   seq — bumped on every structural change, in both regimes: a holder
+//       insertion, an inheritance, a removal, a base install, and a
+//       deflation. An unchanged *word* therefore proves the holder sets
+//       and the value cache are exactly as a handle saw them (the
+//       seqlock read lane and OCC validation).
 constexpr uint64_t BumpSeq(uint64_t w) { return LockWordBumpSeq(w); }
 
 // Fast paths give up after this many failed tries for the MICRO bit and
@@ -41,11 +41,11 @@ constexpr int kFastSpinBudget = 64;
 }  // namespace
 
 // One lock-table entry. Holder sets and the version map are sorted small
-// vectors (holder counts are tiny in practice). `word` is the atomic
-// lock word described above; `fast_value` caches, while the key is
-// uninflated, the value a conflict-free reader observes (deepest
-// writer's version, else base), so the seqlock read lane never touches
-// the plain structures.
+// vectors (holder counts are tiny in practice). `hot.word` is the atomic
+// lock word described above; `hot.value` caches the value a
+// conflict-free reader observes (deepest writer's version, else base),
+// exact whenever the key is uninflated, so the seqlock read lane never
+// touches the plain structures.
 struct LockManager::KeyState {
   KeyState(std::string k, bool born_inflated)
       : key(std::move(k)),
@@ -136,8 +136,9 @@ bool AcquireMicroFast(LockManager::KeyState& ks, bool key_locked,
 // Micro-bit scope for inspection paths (snapshots, base access) that
 // must see a stable uninflated key without escalating it. Caller holds
 // ks.m; on an inflated key ks.m alone already owns the state and no bit
-// is taken. `word()` exposes the held word for mutating sections, which
-// must call `set_word` with the value to publish on release.
+// is taken. `word()` exposes the word for mutating sections, which call
+// `set_word` with the value to publish: on release of the bit, or at
+// once on an inflated key (ks.m owns its word).
 class WordSection {
  public:
   explicit WordSection(LockManager::KeyState& ks) : ks_(ks) {
@@ -153,9 +154,11 @@ class WordSection {
   WordSection(const WordSection&) = delete;
   WordSection& operator=(const WordSection&) = delete;
 
-  bool micro_held() const { return locked_; }
   uint64_t word() const { return w_; }
-  void set_word(uint64_t w) { w_ = w; }
+  void set_word(uint64_t w) {
+    w_ = w;
+    if (!locked_) ks_.hot.word.store(w_, std::memory_order_release);
+  }
 
  private:
   LockManager::KeyState& ks_;
@@ -175,9 +178,12 @@ LockManager::LockManager(const EngineOptions& options, EngineStats* stats,
 
 LockManager::~LockManager() = default;
 
-LockManager::KeyState& LockManager::GetKeyState(const std::string& key) {
-  Shard& shard = shards_[std::hash<std::string>{}(key) % shards_.size()];
-  std::lock_guard<std::mutex> lock(shard.m);
+size_t LockManager::ShardOf(const std::string& key) const {
+  return std::hash<std::string>{}(key) % shards_.size();
+}
+
+LockManager::KeyState& LockManager::FindOrCreateLocked(
+    Shard& shard, const std::string& key) {
   auto it = shard.keys.find(key);
   if (it == shard.keys.end()) {
     it = shard.keys
@@ -186,6 +192,12 @@ LockManager::KeyState& LockManager::GetKeyState(const std::string& key) {
              .first;
   }
   return *it->second;
+}
+
+LockManager::KeyState& LockManager::GetKeyState(const std::string& key) {
+  Shard& shard = shards_[ShardOf(key)];
+  std::lock_guard<std::mutex> lock(shard.m);
+  return FindOrCreateLocked(shard, key);
 }
 
 std::optional<int64_t> LockManager::CurrentValue(const KeyState& ks) {
@@ -222,18 +234,6 @@ void LockManager::EnsureInflatedLocked(KeyState& ks) {
   const uint64_t w = AcquireMicroLocked(ks);
   ks.hot.word.store(w | kWordInflated, std::memory_order_release);
   stats_->Add(kStatLockWordInflations);
-}
-
-bool LockManager::InflateForRepeatLocked(KeyState& ks) {
-  // An uninflated key where a fast grant was allowed means the fast lane
-  // only lost a MICRO race; the full grant path retries it under ks.m
-  // without escalating.
-  if (FastLanesEnabled() && FastGrantAllowed() &&
-      (ks.hot.word.load(std::memory_order_relaxed) & kWordInflated) == 0) {
-    return false;
-  }
-  EnsureInflatedLocked(ks);
-  return true;
 }
 
 void LockManager::MaybeDeflateLocked(KeyState& ks) {
@@ -365,8 +365,9 @@ void LockManager::UnparkWaiter(const TransactionId& txn,
 Status LockManager::WaitForGrant(KeyState& ks,
                                  std::unique_lock<std::mutex>& lk,
                                  const TransactionId& txn, bool exclusive) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + options_.lock_timeout;
+  // Set at the first park, so a request that never waits (every repeat
+  // grant on an inflated key passes through here) reads no clock.
+  std::chrono::steady_clock::time_point deadline;
   bool waited = false;
   bool registered = false;
   bool parked = false;
@@ -499,6 +500,7 @@ Status LockManager::WaitForGrant(KeyState& ks,
     if (!waited) {
       waited = true;
       wait_start_ns = MonotonicNowNs();
+      deadline = std::chrono::steady_clock::now() + options_.lock_timeout;
       stats_->Add(kStatLockWaits);
     }
     if (!parked) {
@@ -566,287 +568,107 @@ Status LockManager::WaitForGrant(KeyState& ks,
   }
 }
 
-bool LockManager::FastGrantAllowed() const {
+bool LockManager::TakeFastGrant(KeyState& ks, const TransactionId& txn,
+                                bool exclusive, bool key_locked,
+                                uint64_t* w) {
   // The word cannot speak for the whole grant decision while a subtree is
   // doomed anywhere (WaitForGrant must get the chance to return Cancelled
   // before granting) or the grant failpoint is armed (injections fire
   // from the mutex-protected site, and a delay must not run under a spin
   // lock).
-  return doomed_count_.load(std::memory_order_relaxed) == 0 &&
-         !FailPoints::Armed(FailPoints::kLockGrant);
-}
-
-bool LockManager::TryFastAcquire(KeyState& ks, const TransactionId& txn,
-                                 bool exclusive, const Mutator* mutator,
-                                 HeldLock* held,
-                                 Result<std::optional<int64_t>>* result,
-                                 bool key_locked) {
-  if (!FastGrantAllowed()) return false;
-  uint64_t w;
-  if (!AcquireMicroFast(ks, key_locked, &w)) return false;
-  // Moss compatibility over the real holder sets (tiny sorted vectors).
-  // Any conflict escalates: a conflicter is a would-be waiter, and
-  // waiting lives on the mutex path.
-  bool conflict = false;
-  for (const VersionMap::Entry& e : ks.write_holders) {
-    if (!e.id.IsAncestorOf(txn)) {
-      conflict = true;
-      break;
-    }
-  }
-  if (!conflict && exclusive) {
-    for (const TransactionId& r : ks.read_holders) {
-      if (!r.IsAncestorOf(txn)) {
-        conflict = true;
-        break;
-      }
-    }
-  }
-  if (conflict) {
-    ks.hot.word.store(w, std::memory_order_release);
+  if (!FastLanesEnabled() ||
+      doomed_count_.load(std::memory_order_relaxed) != 0 ||
+      FailPoints::Armed(FailPoints::kLockGrant)) {
     return false;
   }
-  uint64_t nw = w;
-  std::optional<int64_t> out;
-  if (!exclusive) {
-    if (ks.read_holders.Insert(txn)) nw = BumpSeq(nw);
-    out = (w & kWordPresent)
-              ? std::optional<int64_t>(
-                    ks.hot.value.load(std::memory_order_relaxed))
-              : std::nullopt;
-    if (held != nullptr) {
-      *held = HeldLock{&ks, &ks.hot, nw, /*read=*/true,
-                       /*write=*/ks.write_holders.Contains(txn)};
-    }
-    ks.hot.word.store(nw, std::memory_order_release);
-    stats_->Bump(kStatFastReadGrants);
-  } else {
-    // All write holders are ancestors of txn, so txn is (or becomes) the
-    // deepest writer: its new version IS the current value.
-    const std::optional<int64_t> current = CurrentValue(ks);
-    out = (*mutator)(current);
-    if (ks.write_holders.Put(txn, out)) nw = BumpSeq(nw);
-    nw = RefreshValueCache(ks, out, nw);
-    if (held != nullptr) {
-      *held = HeldLock{&ks, &ks.hot, nw, /*read=*/ks.read_holders.Contains(txn),
-                       /*write=*/true};
-    }
-    ks.hot.word.store(nw, std::memory_order_release);
-    stats_->Bump(kStatFastWriteGrants);
+  if (!AcquireMicroFast(ks, key_locked, w)) return false;
+  // Moss compatibility over the real holder sets (tiny sorted vectors;
+  // the no-conflict scan allocates nothing). Any conflict escalates: a
+  // conflicter is a would-be waiter, and waiting lives on the mutex path.
+  if (!Conflicts(ks, txn, exclusive).empty()) {
+    ks.hot.word.store(*w, std::memory_order_release);
+    return false;
   }
-  *result = out;
   return true;
 }
 
 Result<std::optional<int64_t>> LockManager::AcquireRead(
     const TransactionId& txn, const std::string& key,
     const AccessTraceInfo* trace, HeldLock* held) {
-  KeyState& ks = GetKeyState(key);
-  if (FastLanesEnabled()) {
-    Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-    if (TryFastAcquire(ks, txn, /*exclusive=*/false, nullptr, held,
-                       &result)) {
-      return result;
-    }
-  }
-  return AcquireReadOn(ks, txn, trace, held);
+  return Acquire(txn, key, nullptr, trace, held);
 }
 
-Result<std::optional<int64_t>> LockManager::AcquireReadOn(
-    KeyState& ks, const TransactionId& txn, const AccessTraceInfo* trace,
-    HeldLock* held) {
-  std::unique_lock<std::mutex> lk(ks.m);
-  Result<std::optional<int64_t>> fast = std::optional<int64_t>{};
-  if (FastLanesEnabled() &&
-      TryFastAcquire(ks, txn, /*exclusive=*/false, nullptr, held, &fast,
-                     /*key_locked=*/true)) {
-    return fast;
+Result<std::optional<int64_t>> LockManager::AcquireWrite(
+    const TransactionId& txn, const std::string& key,
+    const Mutator& mutator, const AccessTraceInfo* trace, HeldLock* held) {
+  return Acquire(txn, key, &mutator, trace, held);
+}
+
+Result<std::optional<int64_t>> LockManager::Acquire(
+    const TransactionId& txn, const std::string& key, const Mutator* mutator,
+    const AccessTraceInfo* trace, HeldLock* held) {
+  KeyState& ks = (held != nullptr && held->key != nullptr) ? *held->key
+                                                           : GetKeyState(key);
+  const bool exclusive = mutator != nullptr;
+  uint64_t w = 0;
+  // (1) Fast grant under the MICRO bit, bounded spin, no key mutex.
+  if (TakeFastGrant(ks, txn, exclusive, /*key_locked=*/false, &w)) {
+    return Grant(ks, txn, mutator, w, trace, held);
   }
-  RETURN_IF_ERROR(WaitForGrant(ks, lk, txn, /*exclusive=*/false));
+  std::unique_lock<std::mutex> lk(ks.m);
+  // (2) The same grant under ks.m, which excludes inflation, so a busy
+  // MICRO bit is waited out: a compatible request never escalates.
+  if (TakeFastGrant(ks, txn, exclusive, /*key_locked=*/true, &w)) {
+    return Grant(ks, txn, mutator, w, trace, held);
+  }
+  // (3) The mutex regime: WaitForGrant inflates the key and returns once
+  // the request is compatible (or failed), still holding ks.m.
+  RETURN_IF_ERROR(WaitForGrant(ks, lk, txn, exclusive));
   RETURN_IF_ERROR(FailPoints::MaybeFail(FailPoints::kLockGrant));
   FailPoints::MaybeDelay(FailPoints::kLockGrant);
-  if (ks.read_holders.Insert(txn)) {
-    ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
-                  std::memory_order_relaxed);
+  return Grant(ks, txn, mutator, ks.hot.word.load(std::memory_order_relaxed),
+               trace, held);
+}
+
+std::optional<int64_t> LockManager::Grant(KeyState& ks,
+                                          const TransactionId& txn,
+                                          const Mutator* mutator, uint64_t w,
+                                          const AccessTraceInfo* trace,
+                                          HeldLock* held) {
+  // Every write holder is an ancestor of txn (for a write, every holder
+  // is), so txn observes the deepest writer's version, and a write makes
+  // txn the deepest writer: its new version IS the current value.
+  std::optional<int64_t> value = CurrentValue(ks);
+  bool inserted;
+  if (mutator == nullptr) {
+    inserted = ks.read_holders.Insert(txn);
+  } else {
+    value = (*mutator)(value);
+    inserted = ks.write_holders.Put(txn, value);  // else own-slot rewrite
+    w = RefreshValueCache(ks, value, w);
   }
-  stats_->Add2(kStatLockGrants, kStatReads);
-  const std::optional<int64_t> value = CurrentValue(ks);
+  if (inserted) w = BumpSeq(w);
   if (held != nullptr) {
-    *held = HeldLock{&ks, &ks.hot,
-                     ks.hot.word.load(std::memory_order_relaxed),
-                     /*read=*/true,
-                     /*write=*/ks.write_holders.Contains(txn)};
+    *held = HeldLock{&ks, &ks.hot, w,
+                     /*read=*/mutator == nullptr ||
+                         ks.read_holders.Contains(txn)};
   }
+  // Publish. In the fast regime `w` is the pre-CAS word, so this store
+  // also releases the MICRO bit; in the mutex regime ks.m orders it.
+  ks.hot.word.store(w, std::memory_order_release);
+  if ((w & kWordInflated) == 0) {
+    stats_->Add(mutator == nullptr ? kStatFastReadGrants
+                : inserted         ? kStatFastWriteGrants
+                                   : kStatFastWriteReacquires);
+    return value;
+  }
+  stats_->Add2(kStatLockGrants, mutator == nullptr ? kStatReads : kStatWrites);
   if (recorder_ != nullptr && trace != nullptr) {
     // Emitted under the key mutex: the recorded per-object order is the
     // grant order the lock manager enforced.
     recorder_->EmitAccess(ks.key, *trace, value.value_or(kAbsentValue));
   }
   return value;
-}
-
-Result<std::optional<int64_t>> LockManager::AcquireWrite(
-    const TransactionId& txn, const std::string& key,
-    const Mutator& mutator, const AccessTraceInfo* trace, HeldLock* held) {
-  KeyState& ks = GetKeyState(key);
-  if (FastLanesEnabled()) {
-    Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-    if (TryFastAcquire(ks, txn, /*exclusive=*/true, &mutator, held,
-                       &result)) {
-      return result;
-    }
-  }
-  return AcquireWriteOn(ks, txn, mutator, trace, held);
-}
-
-Result<std::optional<int64_t>> LockManager::AcquireWriteOn(
-    KeyState& ks, const TransactionId& txn, const Mutator& mutator,
-    const AccessTraceInfo* trace, HeldLock* held) {
-  std::unique_lock<std::mutex> lk(ks.m);
-  Result<std::optional<int64_t>> fast = std::optional<int64_t>{};
-  if (FastLanesEnabled() &&
-      TryFastAcquire(ks, txn, /*exclusive=*/true, &mutator, held, &fast,
-                     /*key_locked=*/true)) {
-    return fast;
-  }
-  RETURN_IF_ERROR(WaitForGrant(ks, lk, txn, /*exclusive=*/true));
-  RETURN_IF_ERROR(FailPoints::MaybeFail(FailPoints::kLockGrant));
-  FailPoints::MaybeDelay(FailPoints::kLockGrant);
-  const std::optional<int64_t> current = CurrentValue(ks);
-  const std::optional<int64_t> next = mutator(current);
-  if (ks.write_holders.Put(txn, next)) {
-    ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
-                  std::memory_order_relaxed);
-  }
-  stats_->Add2(kStatLockGrants, kStatWrites);
-  if (held != nullptr) {
-    *held = HeldLock{&ks, &ks.hot,
-                     ks.hot.word.load(std::memory_order_relaxed),
-                     /*read=*/ks.read_holders.Contains(txn),
-                     /*write=*/true};
-  }
-  if (recorder_ != nullptr && trace != nullptr) {
-    recorder_->EmitAccess(ks.key, *trace, next.value_or(kAbsentValue));
-  }
-  return next;
-}
-
-bool LockManager::TryReacquireRead(HeldLock& held, const TransactionId& txn,
-                                   const AccessTraceInfo* trace,
-                                   Result<std::optional<int64_t>>* result) {
-  if (!held.read && !held.write) return false;
-  KeyState& ks = *held.key;
-  std::unique_lock<std::mutex> lk(ks.m);
-  if (!InflateForRepeatLocked(ks)) return false;
-  if ((ks.hot.word.load(std::memory_order_relaxed) & kWordSeqMask) !=
-      (held.word & kWordSeqMask)) {
-    return false;
-  }
-  // Seq unchanged since our grant: no holder has been added, so every
-  // write holder is still an ancestor of txn — the read is conflict-free.
-  if (!held.read) {
-    // Re-read under a write-only hold still registers the read lock,
-    // exactly as the full path would.
-    if (ks.read_holders.Insert(txn)) {
-      ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
-                    std::memory_order_relaxed);
-    }
-    held.read = true;
-  }
-  held.word = ks.hot.word.load(std::memory_order_relaxed);
-  stats_->Add2(kStatLockGrants, kStatReads);
-  const std::optional<int64_t> value = CurrentValue(ks);
-  if (recorder_ != nullptr && trace != nullptr) {
-    recorder_->EmitAccess(ks.key, *trace, value.value_or(kAbsentValue));
-  }
-  *result = value;
-  return true;
-}
-
-bool LockManager::TryReacquireWrite(HeldLock& held, const TransactionId& txn,
-                                    const Mutator& mutator,
-                                    const AccessTraceInfo* trace,
-                                    Result<std::optional<int64_t>>* result) {
-  if (!held.write) return false;
-  KeyState& ks = *held.key;
-  std::unique_lock<std::mutex> lk(ks.m);
-  if (!InflateForRepeatLocked(ks)) return false;
-  if ((ks.hot.word.load(std::memory_order_relaxed) & kWordSeqMask) !=
-      (held.word & kWordSeqMask)) {
-    return false;
-  }
-  // Seq unchanged since our write grant: txn is still the deepest
-  // holder and nobody new joined — the write is conflict-free.
-  const std::optional<int64_t> current = CurrentValue(ks);
-  const std::optional<int64_t> next = mutator(current);
-  (void)ks.write_holders.Put(txn, next);  // held: assign, never insert
-  held.word = ks.hot.word.load(std::memory_order_relaxed);
-  stats_->Add2(kStatLockGrants, kStatWrites);
-  if (recorder_ != nullptr && trace != nullptr) {
-    recorder_->EmitAccess(ks.key, *trace, next.value_or(kAbsentValue));
-  }
-  *result = next;
-  return true;
-}
-
-Result<std::optional<int64_t>> LockManager::ReacquireReadCold(
-    HeldLock& held, const TransactionId& txn, const AccessTraceInfo* trace) {
-  if (FastLanesEnabled()) {
-    KeyState& ks = *held.key;
-    // The inline seqlock lane (header) already missed. Stale or
-    // write-only handle on a (possibly still) uninflated key: retry as a
-    // fast cold grant — a sibling reader moving the seq must not
-    // escalate read-read sharing to the mutex path.
-    Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-    if (TryFastAcquire(ks, txn, /*exclusive=*/false, nullptr, &held,
-                       &result)) {
-      return result;
-    }
-  }
-  Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-  if (TryReacquireRead(held, txn, trace, &result)) return result;
-  return AcquireReadOn(*held.key, txn, trace, &held);
-}
-
-Result<std::optional<int64_t>> LockManager::ReacquireWrite(
-    HeldLock& held, const TransactionId& txn, const Mutator& mutator,
-    const AccessTraceInfo* trace) {
-  if (FastLanesEnabled()) {
-    KeyState& ks = *held.key;
-    // Held-write lane: one CAS from the exact granted word to word|MICRO
-    // proves the holder sets are untouched and txn is still the deepest
-    // writer; mutate its slot and the value cache in place. The word
-    // only changes if the write flips presence (a new value under the
-    // same holders keeps every sibling handle, including this one,
-    // exactly valid).
-    if (held.write && (held.word & (kWordInflated | kWordMicro)) == 0) {
-      uint64_t expected = held.word;
-      if (ks.hot.word.compare_exchange_strong(expected, held.word | kWordMicro,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed)) {
-        const std::optional<int64_t> current =
-            (held.word & kWordPresent)
-                ? std::optional<int64_t>(
-                      ks.hot.value.load(std::memory_order_relaxed))
-                : std::nullopt;
-        const std::optional<int64_t> next = mutator(current);
-        (void)ks.write_holders.Put(txn, next);  // held: assign, not insert
-        const uint64_t nw = RefreshValueCache(ks, next, held.word);
-        held.word = nw;
-        ks.hot.word.store(nw, std::memory_order_release);
-        stats_->Bump(kStatFastWriteReacquires);
-        return next;
-      }
-    }
-    Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-    if (TryFastAcquire(ks, txn, /*exclusive=*/true, &mutator, &held,
-                       &result)) {
-      return result;
-    }
-  }
-  Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-  if (TryReacquireWrite(held, txn, mutator, trace, &result)) return result;
-  return AcquireWriteOn(*held.key, txn, mutator, trace, &held);
 }
 
 // Batch-local bookkeeping: counters accumulated while key mutexes (or
@@ -876,144 +698,65 @@ struct LockManager::ReleaseScratch {
   }
 };
 
-void LockManager::CommitKeyLocked(KeyState& ks, const TransactionId& txn,
-                                  const TransactionId& parent,
-                                  ReleaseScratch& scratch) {
-  // Stretch the inherit window while holders pile up on ks.cv — the
-  // commit-side race surface the storm tests lean on.
-  FailPoints::MaybeDelay(FailPoints::kCommitInherit);
-  bool changed = false;
-  // Each released mode requests a wakeup, but only if some thread is
-  // actually parked on this key — the waiter-count handshake (see
-  // KeyState::waiters) makes the skip lossless. A dual-mode holder's two
-  // requests are coalesced to one notify in phase 3.
-  if (parent.IsRoot()) {
+void LockManager::ReleaseKey(KeyState& ks, const TransactionId& txn,
+                             const TransactionId* parent, uint64_t w,
+                             ReleaseScratch& scratch) {
+  // Holder-set modes this release changed; each is one wakeup request (a
+  // dual-mode holder's two are coalesced to one notify in phase 3).
+  size_t modes = 0;
+  if (parent == nullptr) {
+    // Abort: discard entries of txn and (defensively) stray descendants.
+    const size_t writes = ks.write_holders.EraseIf(
+        [&](const TransactionId& wh) { return txn.IsAncestorOf(wh); });
+    scratch.discarded += writes;  // each write holder owned one version slot
+    const size_t reads = ks.read_holders.EraseIf(
+        [&](const TransactionId& r) { return txn.IsAncestorOf(r); });
+    modes = (writes > 0 ? 1 : 0) + (reads > 0 ? 1 : 0);
+  } else if (parent->IsRoot()) {
     // Top-level commit: release the locks, install the version as base.
     if (auto version = ks.write_holders.TryTake(txn)) {
       ks.base = *version;
-      ++scratch.inherited;
-      if (ks.waiters > 0) scratch.PendWakeup(&ks);
-      changed = true;
+      ++modes;
     }
-    if (ks.read_holders.Erase(txn)) {
-      ++scratch.inherited;
-      if (ks.waiters > 0) scratch.PendWakeup(&ks);
-      changed = true;
-    }
+    if (ks.read_holders.Erase(txn)) ++modes;
+    scratch.inherited += modes;
   } else {
     // Subtransaction commit: the parent takes the child's place — and
     // inherits its version — in one sorted-vector pass per mode.
-    switch (ks.write_holders.ReplaceWithAncestor(txn, parent)) {
-      case ReplaceOutcome::kAbsent:
-        break;
-      case ReplaceOutcome::kReplaced:
-        // Parent is a new holder (fast-lane fence).
-        ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
-                      std::memory_order_relaxed);
-        [[fallthrough]];
-      case ReplaceOutcome::kMerged:
-        ++scratch.inherited;
-        if (ks.waiters > 0) scratch.PendWakeup(&ks);
-        changed = true;
-        break;
+    if (ks.write_holders.ReplaceWithAncestor(txn, *parent) !=
+        ReplaceOutcome::kAbsent) {
+      ++modes;
     }
-    switch (ks.read_holders.ReplaceWithAncestor(txn, parent)) {
-      case ReplaceOutcome::kAbsent:
-        break;
-      case ReplaceOutcome::kReplaced:
-        ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
-                      std::memory_order_relaxed);
-        [[fallthrough]];
-      case ReplaceOutcome::kMerged:
-        ++scratch.inherited;
-        if (ks.waiters > 0) scratch.PendWakeup(&ks);
-        changed = true;
-        break;
+    if (ks.read_holders.ReplaceWithAncestor(txn, *parent) !=
+        ReplaceOutcome::kAbsent) {
+      ++modes;
+    }
+    scratch.inherited += modes;
+  }
+  // The one seq rule: a structural change bumps the seq, and the value
+  // cache follows the structures (an abort purge or an install can move
+  // the current value).
+  if (modes > 0) w = RefreshValueCache(ks, CurrentValue(ks), BumpSeq(w));
+  if (w & kWordInflated) {
+    // Mutex-regime tail, under ks.m. A wakeup is requested only if some
+    // thread is actually parked on this key — the waiter-count handshake
+    // (see KeyState::waiters) makes the skip lossless.
+    if (ks.waiters > 0) {
+      for (size_t i = 0; i < modes; ++i) scratch.PendWakeup(&ks);
+    }
+    // Emitted at the instant of the state change, so the per-object
+    // event order is the enforced order (header comment). An abort is
+    // informed even when no lock was held (the model's generic scheduler
+    // may inform any object of any abort).
+    if (recorder_ != nullptr && (parent == nullptr || modes > 0)) {
+      const ObjectId x = recorder_->ObjectFor(ks.key);
+      recorder_->Emit(parent == nullptr ? Event::InformAbortAt(x, txn)
+                                        : Event::InformCommitAt(x, txn));
     }
   }
-  if (changed && recorder_ != nullptr) {
-    // Emitted under ks.m at the instant of the state change, so the
-    // per-object event order is the enforced order (header comment).
-    recorder_->Emit(Event::InformCommitAt(recorder_->ObjectFor(ks.key), txn));
-  }
-}
-
-void LockManager::AbortKeyLocked(KeyState& ks, const TransactionId& txn,
-                                 ReleaseScratch& scratch) {
-  // Stretch the purge window (see CommitKeyLocked).
-  FailPoints::MaybeDelay(FailPoints::kAbortPurge);
-  // Discard entries of txn and (defensively) any stray descendants.
-  const size_t writes = ks.write_holders.EraseIf(
-      [&](const TransactionId& w) { return txn.IsAncestorOf(w); });
-  scratch.discarded += writes;  // each write holder owned one version slot
-  const size_t reads = ks.read_holders.EraseIf(
-      [&](const TransactionId& r) { return txn.IsAncestorOf(r); });
-  if (ks.waiters > 0) {
-    if (writes > 0) scratch.PendWakeup(&ks);
-    if (reads > 0) scratch.PendWakeup(&ks);
-  }
-  if (recorder_ != nullptr) {
-    // Informed even when no lock was held (the model's generic
-    // scheduler may inform any object of any abort).
-    recorder_->Emit(Event::InformAbortAt(recorder_->ObjectFor(ks.key), txn));
-  }
-}
-
-bool LockManager::TryFastRelease(KeyState& ks, const TransactionId& txn,
-                                 const TransactionId* parent,
-                                 ReleaseScratch& scratch, bool key_locked) {
-  // Armed release failpoints must keep firing from the mutex-protected
-  // bodies (and must never sleep under the spin bit).
-  if (FailPoints::Armed(parent != nullptr ? FailPoints::kCommitInherit
-                                          : FailPoints::kAbortPurge)) {
-    return false;
-  }
-  uint64_t w;
-  if (!AcquireMicroFast(ks, key_locked, &w)) return false;
-  // Uninflated ⇒ no parked waiters (nothing to wake) and no recorder
-  // (nothing to emit): the release is pure structure surgery plus the
-  // scratch's counter intents.
-  bool changed = false;
-  if (parent != nullptr) {
-    if (parent->IsRoot()) {
-      if (auto version = ks.write_holders.TryTake(txn)) {
-        ks.base = *version;
-        ++scratch.inherited;
-        changed = true;
-      }
-      if (ks.read_holders.Erase(txn)) {
-        ++scratch.inherited;
-        changed = true;
-      }
-    } else {
-      if (ks.write_holders.ReplaceWithAncestor(txn, *parent) !=
-          ReplaceOutcome::kAbsent) {
-        ++scratch.inherited;
-        changed = true;
-      }
-      if (ks.read_holders.ReplaceWithAncestor(txn, *parent) !=
-          ReplaceOutcome::kAbsent) {
-        ++scratch.inherited;
-        changed = true;
-      }
-    }
-  } else {
-    const size_t writes = ks.write_holders.EraseIf(
-        [&](const TransactionId& wh) { return txn.IsAncestorOf(wh); });
-    scratch.discarded += writes;
-    const size_t reads = ks.read_holders.EraseIf(
-        [&](const TransactionId& r) { return txn.IsAncestorOf(r); });
-    changed = writes + reads > 0;
-  }
-  uint64_t nw = w;
-  if (changed) {
-    // Any structural change bumps the seq here (removals included, unlike
-    // the inflated path): the seqlock lane keys its value cache to the
-    // exact word, and an abort purge can move the current value.
-    nw = RefreshValueCache(ks, CurrentValue(ks), BumpSeq(w));
-  }
-  ks.hot.word.store(nw, std::memory_order_release);
-  return true;
+  // Publish; in the fast regime this store also releases the MICRO bit.
+  // (Uninflated ⇒ no parked waiters and no recorder: nothing is owed.)
+  ks.hot.word.store(w, std::memory_order_release);
 }
 
 template <typename KeyOf, typename HeldOf>
@@ -1041,8 +784,7 @@ void LockManager::ReleaseBatch(const TransactionId& txn,
     if (held != nullptr && held->key != nullptr) {
       states[i] = held->key;
     } else {
-      uncached.emplace_back(
-          std::hash<std::string>{}(key_of(i)) % shards_.size(), i);
+      uncached.emplace_back(ShardOf(key_of(i)), i);
     }
   }
   if (!uncached.empty()) {
@@ -1052,43 +794,40 @@ void LockManager::ReleaseBatch(const TransactionId& txn,
       std::lock_guard<std::mutex> lock(shard.m);
       for (const size_t s = uncached[j].first;
            j < uncached.size() && uncached[j].first == s; ++j) {
-        const std::string& key = key_of(uncached[j].second);
-        auto it = shard.keys.find(key);
-        if (it == shard.keys.end()) {
-          it = shard.keys
-                   .emplace(key, std::make_unique<KeyState>(
-                                     key, !options_.lock_word_enabled))
-                   .first;
-        }
-        states[uncached[j].second] = it->second.get();
+        states[uncached[j].second] =
+            &FindOrCreateLocked(shard, key_of(uncached[j].second));
       }
     }
   }
 
-  // Phase 2: per key — uninflated keys resolve entirely under the MICRO
-  // bit (no wakeups to pend; a key whose bit stays busy past the spin
-  // budget waits it out under its mutex rather than escalate); inflated
-  // keys take that key's mutex: inherit or purge, trace event,
-  // wakeup/count intents into the scratch. No notifies. A key this
-  // release quiesces deflates back to the fast regime.
-  const bool fast = FastLanesEnabled();
+  // Phase 2: per key, INFORM_COMMIT_AT / INFORM_ABORT_AT through the one
+  // release body — under the MICRO bit on an uninflated key (retried
+  // under ks.m, which waits the bit out, rather than escalate), else
+  // under ks.m on the inflated key, where it also records wakeup intents
+  // and the trace event. No notifies. A key this release quiesces
+  // deflates back to the fast regime. Armed release failpoints keep
+  // firing from the mutex regime (and never sleep under the spin bit).
+  const FailPoints::Site site =
+      parent != nullptr ? FailPoints::kCommitInherit : FailPoints::kAbortPurge;
   for (size_t i = 0; i < n; ++i) {
     KeyState& ks = *states[i];
-    if (fast && TryFastRelease(ks, txn, parent, scratch,
-                               /*key_locked=*/false)) {
+    const bool fast = FastLanesEnabled() && !FailPoints::Armed(site);
+    uint64_t w = 0;
+    if (fast && AcquireMicroFast(ks, /*key_locked=*/false, &w)) {
+      ReleaseKey(ks, txn, parent, w, scratch);
       continue;
     }
     std::lock_guard<std::mutex> lock(ks.m);
-    if (fast && TryFastRelease(ks, txn, parent, scratch,
-                               /*key_locked=*/true)) {
+    if (fast && AcquireMicroFast(ks, /*key_locked=*/true, &w)) {
+      ReleaseKey(ks, txn, parent, w, scratch);
       continue;
     }
     EnsureInflatedLocked(ks);
-    if (parent != nullptr) {
-      CommitKeyLocked(ks, txn, *parent, scratch);
-    } else {
-      AbortKeyLocked(ks, txn, scratch);
-    }
+    // Stretch the inherit/purge window while holders pile up on ks.cv —
+    // the release-side race surface the storm tests lean on.
+    FailPoints::MaybeDelay(site);
+    ReleaseKey(ks, txn, parent, ks.hot.word.load(std::memory_order_relaxed),
+               scratch);
     MaybeDeflateLocked(ks);
   }
 
@@ -1184,10 +923,10 @@ Result<std::optional<int64_t>> LockManager::OccReadKey(const std::string& key,
   for (;;) {
     uint64_t w1 = ks.hot.word.load(std::memory_order_acquire);
     if (w1 & kWordInflated) {
-      // A locking phase (kAdaptive) may have left the key escalated; in
-      // the inflated regime the seq is not a validation version (holder
-      // removals and top-level installs don't bump it), so either hand
-      // the key back to the word regime or fail the read.
+      // A locking phase (kAdaptive) may have left the key escalated. An
+      // inflated key belongs to the mutex regime (holders or waiters may
+      // still be on it), so its word is no validation version: either
+      // hand the key back to the word regime or fail the read.
       {
         std::lock_guard<std::mutex> lock(ks.m);
         MaybeDeflateLocked(ks);
@@ -1358,12 +1097,10 @@ void LockManager::SetBase(const std::string& key,
   std::lock_guard<std::mutex> lock(ks.m);
   WordSection section(ks);
   ks.base = value;
-  if (section.micro_held()) {
-    // The base feeds the value cache when no writer holds the key; bump
-    // the seq so any (preexisting) handle revalidates.
-    section.set_word(
-        RefreshValueCache(ks, CurrentValue(ks), BumpSeq(section.word())));
-  }
+  // A base install is a structural change: the seq moves (so any
+  // preexisting handle revalidates) and the value cache follows.
+  section.set_word(
+      RefreshValueCache(ks, CurrentValue(ks), BumpSeq(section.word())));
 }
 
 void LockManager::SnapshotBase(

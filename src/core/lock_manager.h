@@ -41,41 +41,39 @@
 // `lock_word_enabled = false` births every key inflated, recovering the
 // pure-mutex manager.
 //
-// Hot-path fast lane: a successful acquire can hand back a HeldLock
-// handle {key state, word snapshot, held modes}. Re-acquiring under a
-// still-sufficient held lock (Reacquire*) skips the shard hash, the
-// wait/conflict scan and the holder-set insert. Safety: the seq field is
-// bumped on every holder-set *insertion* (and, in the fast regime, on
-// every structural change); if the seq is unchanged since the handle's
-// grant, no transaction has acquired the key since, so by Moss's rule
-// the no-conflict condition that held at grant time still holds (holder
-// removals can only shrink the conflict set, and an active transaction's
-// own locks are never removed — ancestors outlive descendants). On a
-// mismatch Reacquire* falls back to the full grant path on the same key
-// state. The seqlock read lane needs the stronger exact-word match: an
-// unchanged word also proves the value cache is the value this reader
-// observes.
+// One grant path: AcquireRead / AcquireWrite run the same three steps
+// for a first access and a repeat one — (1) the fast grant under the
+// MICRO bit with a bounded spin, (2) the same grant retried under ks.m,
+// where the bit is waited out, (3) WaitForGrant, then the grant. The
+// grant body (holder insert or own-slot rewrite, seq bump, observed
+// value, handle fill) is written once; the regimes differ only in how
+// the word is published and in whether the access is traced. A caller
+// may pass the HeldLock of an earlier grant in: its KeyState pointer
+// skips the shard lookup, nothing else. The seq field is bumped on every
+// structural change (holder insertion, inheritance, removal, base
+// install, deflation) in both regimes, so an unchanged word proves the
+// holder sets and the value cache are exactly as the handle saw them.
 //
-// The argument extends to handles inherited up the commit chain (a
-// committing child hands its cached handles to its parent): on a seq
-// match, every write holder was an ancestor of the handle's original
-// owner O. A holder that is not also an ancestor of the reusing ancestor
-// P would have to lie strictly between P and O; for the handle to have
-// reached P, every transaction on that path has committed — which erased
-// it from the holder sets. So the no-conflict condition holds for P too.
+// Seqlock read lane: TryFastReadLane serves a repeat read from the value
+// cache when the key's word still equals the handle's (no store, no
+// lock). Transaction::Access runs it in place on its cached handle; a
+// miss falls through to the grant path. A handle inherited up the
+// commit chain (a committing child hands its cached handles to its
+// parent) always misses once: the commit changed the holder sets, so it
+// bumped the seq.
 //
 // Batched release path: OnCommit/OnAbort take a transaction's whole key
 // inventory and run in three phases — (1) resolve every KeyState
 // pointer, taking cached handles directly and resolving the remaining
-// keys shard-by-shard under one shard-mutex hold each; (2) per key,
-// uninflated keys are released entirely under the MICRO bit (no waiters
-// can exist on an uninflated key, so there is nothing to wake and no
-// mutex to take); inflated keys apply the INFORM_COMMIT_AT /
-// INFORM_ABORT_AT state change (inherit or purge) under that key's
-// mutex and record which keys' holder sets changed; (3) with no key
-// mutex held, bump the batch's counters once, and issue one cv.notify_all per
-// changed key (duplicate notify requests — e.g. a dual-mode read+write
-// holder — are coalesced first). Wakeups are requested only for keys
+// keys shard-by-shard under one shard-mutex hold each; (2) per key, one
+// release body applies the INFORM_COMMIT_AT / INFORM_ABORT_AT state
+// change (inherit or purge) and bumps the seq — under the MICRO bit on
+// an uninflated key (no waiters can exist there, so nothing is owed),
+// else under the key's mutex, where its tail also records the wakeup
+// intent and emits the inform event; (3) with no key mutex held, bump
+// the batch's counters once, and issue one cv.notify_all per changed key
+// (duplicate notify requests — e.g. a dual-mode read+write holder — are
+// coalesced first). Wakeups are requested only for keys
 // with a parked waiter: each KeyState counts waiters under its mutex,
 // and since a waiter holds that mutex continuously from wake to
 // re-park, a releaser either sees it parked (and notifies) or the
@@ -154,17 +152,17 @@ class LockManager {
     std::atomic<int64_t> value{0};
   };
 
-  /// Handle to a lock this owner was granted on a key: which modes were
-  /// held and a snapshot of the key's lock word at grant time. An exact
-  /// word match admits the mutex-free seqlock read lane; a seq-field
-  /// match admits the inflated-regime repeat lane. Valid for the
-  /// lifetime of the LockManager; trivially copyable.
+  /// Handle to a lock this owner was granted on a key: the key, whether
+  /// the owner held the read mode, and a snapshot of the key's lock word
+  /// at grant time. An exact word match admits the mutex-free seqlock
+  /// read lane; passed back into AcquireRead / AcquireWrite, the key
+  /// pointer skips the shard lookup. Valid for the lifetime of the
+  /// LockManager; trivially copyable.
   struct HeldLock {
     KeyState* key = nullptr;
     LockWordPair* hot = nullptr;  // &key->hot, set by every grant
     uint64_t word = 0;
-    bool read = false;   // owner was in the read-holder set
-    bool write = false;  // owner was in the write-holder set
+    bool read = false;  // owner was in the read-holder set
   };
 
   /// `metrics` may be null (tests and benches that construct the manager
@@ -177,15 +175,17 @@ class LockManager {
   /// value `txn` observes: the deepest write holder's version, else the
   /// committed base, else nullopt (absent key). If tracing is enabled and
   /// `trace` is given, the access's event group is recorded atomically
-  /// with the grant. On success `held` (if given) receives the fast-path
-  /// handle for this key.
+  /// with the grant. `held` (if given) may carry a handle from an earlier
+  /// grant on this key by this manager — it only saves the shard lookup
+  /// — and on success receives the handle for this grant.
   Result<std::optional<int64_t>> AcquireRead(
       const TransactionId& txn, const std::string& key,
       const AccessTraceInfo* trace = nullptr, HeldLock* held = nullptr);
 
   /// Acquire a write lock on `key` for `txn` (blocking), apply `mutator`
   /// to the observed value, store the result as txn's version, and return
-  /// it. `mutator` returning nullopt stores a deletion.
+  /// it. `mutator` returning nullopt stores a deletion. `held` as for
+  /// AcquireRead.
   using Mutator =
       std::function<std::optional<int64_t>(std::optional<int64_t>)>;
   Result<std::optional<int64_t>> AcquireWrite(
@@ -193,52 +193,37 @@ class LockManager {
       const Mutator& mutator, const AccessTraceInfo* trace = nullptr,
       HeldLock* held = nullptr);
 
-  /// Re-acquire a read lock on the key of `held`, which must come from a
-  /// prior successful acquire by the same `txn` on this manager. Takes the
-  /// fast lane when the held lock is still sufficient, else the full
-  /// grant path on the same key. Updates `held` in place.
-  ///
-  /// Inline seqlock lane — THE repeat-read hot path: an exact word match
-  /// (which implies INFLATED and MICRO clear), re-validated after reading
-  /// the value cache, proves the holder sets are untouched since our
-  /// grant and the cache is the value we observe. No store, no lock, no
-  /// structure walk — and, inlined here, no cross-TU call. A concurrent
-  /// ancestor writer that leaves the word unchanged (pure value rewrite)
-  /// is legal in either order; one that touches flags or seq forces the
-  /// w2 mismatch.
-  Result<std::optional<int64_t>> ReacquireRead(
-      HeldLock& held, const TransactionId& txn,
-      const AccessTraceInfo* trace = nullptr) {
-    std::optional<int64_t> v;
-    if (TryFastReadLane(held, &v)) return v;
-    return ReacquireReadCold(held, txn, trace);
-  }
-
-  /// Whether the seqlock read lane can hit at all right now (lock word
-  /// on, no recorder attached). Lets callers skip fast-path setup work
-  /// (e.g. Transaction::TryGet's in-place handle lookup) when every
-  /// attempt is doomed to fall through anyway.
-  bool FastReadLanePossible() const {
+  /// True when the mutex-free lanes may run at all: the lock word is on
+  /// and no trace recorder demands mutex-ordered event emission. Lets
+  /// Transaction::Access skip its in-place handle lookup when the
+  /// seqlock lane cannot hit.
+  bool FastLanesEnabled() const {
     return options_.lock_word_enabled && recorder_ == nullptr;
   }
 
-  /// The seqlock lane alone: serve a repeat read from `held`'s value
-  /// cache iff the lock word is exactly as granted. Never blocks, never
-  /// stores, never updates `held` (a hit proves the handle is current).
+  /// The seqlock read lane — THE repeat-read hot path: serve a repeat
+  /// read from `held`'s value cache iff the lock word is exactly as
+  /// granted. An exact word match (which implies INFLATED and MICRO
+  /// clear), re-validated after reading the value cache, proves the
+  /// holder sets are untouched since the grant and the cache is the
+  /// value the owner observes. No store but the counter, no lock, no
+  /// structure walk. A concurrent ancestor writer that leaves the word
+  /// unchanged (pure value rewrite) is legal in either order; one that
+  /// touches flags or seq forces the second-load mismatch. Never blocks
+  /// and never updates `held` (a hit proves the handle is current).
   /// False on any mismatch — tracing on, lock word off, stale or
-  /// escalated word — with `*out` untouched; callers fall back to the
-  /// full reacquire path. Exposed so Transaction::TryGet can run the
-  /// lane in place on its cached handle without the handle copy-out /
-  /// write-back glue of the general path.
+  /// escalated word — with `*out` untouched; the caller then takes the
+  /// grant path. Inline so Transaction::Access runs it on its cached
+  /// handle with no cross-TU call.
   bool TryFastReadLane(const HeldLock& held, std::optional<int64_t>* out) {
-    if (options_.lock_word_enabled && recorder_ == nullptr && held.read &&
+    if (FastLanesEnabled() && held.read &&
         (held.word & (kWordInflated | kWordMicro)) == 0 &&
         held.hot != nullptr) {
       const uint64_t w1 = held.hot->word.load(std::memory_order_acquire);
       if (w1 == held.word) {
         const int64_t v = held.hot->value.load(std::memory_order_acquire);
         if (held.hot->word.load(std::memory_order_acquire) == w1) {
-          stats_->Bump(kStatFastReadReacquires);
+          stats_->Add(kStatFastReadReacquires);
           if (w1 & kWordPresent) {
             *out = v;
           } else {
@@ -250,11 +235,6 @@ class LockManager {
     }
     return false;
   }
-
-  /// Write-lock counterpart of ReacquireRead.
-  Result<std::optional<int64_t>> ReacquireWrite(
-      HeldLock& held, const TransactionId& txn, const Mutator& mutator,
-      const AccessTraceInfo* trace = nullptr);
 
   /// A key a transaction touched, with its cached fast-path handle (the
   /// handle may be stale or empty; only its KeyState pointer is relied
@@ -305,11 +285,10 @@ class LockManager {
   /// the exact word OccCommit will validate. An INFLATED key is deflated
   /// if quiescent (a locking phase under kAdaptive may have left it
   /// escalated) and otherwise fails with a retryable Status::Aborted
-  /// counted under occ_validation_aborts: in the inflated regime holder
-  /// removals and top-level installs do NOT bump the seq, so no inflated
-  /// word can serve as a validation version (DESIGN §4.9). Requires
-  /// lock_word_enabled and no trace recorder (traced OCC commits replay
-  /// through the mutex-ordered locking paths instead).
+  /// counted under occ_validation_aborts: an inflated key belongs to the
+  /// mutex regime, so its word is no validation version (DESIGN §4.9).
+  /// Requires lock_word_enabled and no trace recorder (traced OCC commits
+  /// replay through the mutex-ordered locking paths instead).
   Result<std::optional<int64_t>> OccReadKey(const std::string& key,
                                             OccReadEntry* entry);
 
@@ -434,21 +413,19 @@ class LockManager {
   WriteAheadLog* wal() { return wal_; }
 
  private:
-  KeyState& GetKeyState(const std::string& key);
+  struct Shard {
+    std::mutex m;
+    std::unordered_map<std::string, std::unique_ptr<KeyState>> keys;
+  };
 
-  // Cold tail of ReacquireRead (everything past the inline seqlock lane):
-  // fast cold-grant retry, inflated-regime repeat lane, full grant path.
-  Result<std::optional<int64_t>> ReacquireReadCold(
-      HeldLock& held, const TransactionId& txn, const AccessTraceInfo* trace);
+  // The key's shard index, and find-or-create in a shard whose mutex the
+  // caller holds (GetKeyState and ReleaseBatch's batched phase 1).
+  size_t ShardOf(const std::string& key) const;
+  KeyState& FindOrCreateLocked(Shard& shard, const std::string& key);
+  KeyState& GetKeyState(const std::string& key);
 
   // Doom-registry scan behind IsDoomed's inline nothing-doomed exit.
   bool IsDoomedSlow(const TransactionId& txn) const;
-
-  // True when the mutex-free lanes may run at all: the option is on and
-  // no trace recorder demands mutex-ordered event emission.
-  bool FastLanesEnabled() const {
-    return options_.lock_word_enabled && recorder_ == nullptr;
-  }
 
   // Escalate: caller holds ks.m. Acquires the micro bit (draining any
   // in-flight fast section) and publishes the INFLATED word; no-op when
@@ -456,43 +433,36 @@ class LockManager {
   // structures calls this right after locking ks.m.
   void EnsureInflatedLocked(KeyState& ks);
 
-  // Escalate for an inflated-regime repeat lane: caller holds ks.m.
-  // Returns false — leaving the key alone — when the key is uninflated
-  // and a fast grant is allowed (the lane only lost a MICRO race; the
-  // full grant path retries it without escalating); otherwise inflates
-  // and returns true.
-  bool InflateForRepeatLocked(KeyState& ks);
-
-  // False while any subtree is doomed or the grant failpoint is armed:
-  // then every grant takes the mutex path.
-  bool FastGrantAllowed() const;
-
   // De-escalate: caller holds ks.m. If the key is inflated, has no
   // holders and no parked waiters (and the fast lanes are enabled),
   // refresh the value cache from the base and clear INFLATED.
   void MaybeDeflateLocked(KeyState& ks);
 
-  // One-CAS grant attempt on an uninflated key: scan the holder sets for
-  // Moss conflicts under the micro bit and insert the holder if clear.
-  // Returns false — escalating nothing by itself — on inflated or
-  // contended words, on any conflict, when any subtree is doomed, or
-  // when the grant failpoint is armed. `mutator` is required iff
-  // `exclusive`. With `key_locked` (caller holds ks.m) a busy MICRO bit
-  // is waited out instead of counted against the spin budget.
-  bool TryFastAcquire(KeyState& ks, const TransactionId& txn,
-                      bool exclusive, const Mutator* mutator,
-                      HeldLock* held,
-                      Result<std::optional<int64_t>>* result,
-                      bool key_locked = false);
+  // The one grant implementation behind AcquireRead / AcquireWrite
+  // (`mutator` null for a read): fast grant, the same grant under ks.m,
+  // then WaitForGrant and the grant (header comment).
+  Result<std::optional<int64_t>> Acquire(const TransactionId& txn,
+                                         const std::string& key,
+                                         const Mutator* mutator,
+                                         const AccessTraceInfo* trace,
+                                         HeldLock* held);
 
-  // Micro-bit release of an uninflated key for ReleaseBatch phase 2
-  // (commit when parent != nullptr, abort otherwise). No wakeups and no
-  // trace events are ever owed here: waiters imply inflation, tracing
-  // disables the fast lanes. `key_locked` as for TryFastAcquire.
-  struct ReleaseScratch;
-  bool TryFastRelease(KeyState& ks, const TransactionId& txn,
-                      const TransactionId* parent, ReleaseScratch& scratch,
-                      bool key_locked);
+  // Fast-regime admission for a grant: true with the MICRO bit held and
+  // *w the pre-CAS word iff the fast lanes are on, nothing is doomed,
+  // the grant failpoint is unarmed, the key is uninflated and the
+  // request has no Moss conflict. Escalates nothing by itself. With
+  // `key_locked` (caller holds ks.m) a busy MICRO bit is waited out
+  // instead of counted against the spin budget.
+  bool TakeFastGrant(KeyState& ks, const TransactionId& txn, bool exclusive,
+                     bool key_locked, uint64_t* w);
+
+  // The grant body, for both regimes. Caller owns the key — the MICRO
+  // bit (`w` the pre-CAS word) or ks.m on an inflated key (`w` the
+  // current word) — and has established compatibility. Returns the value
+  // txn observes (a write's new version).
+  std::optional<int64_t> Grant(KeyState& ks, const TransactionId& txn,
+                               const Mutator* mutator, uint64_t w,
+                               const AccessTraceInfo* trace, HeldLock* held);
 
   // The single batched commit/abort implementation behind all four
   // OnCommit/OnAbort overloads. `parent` is null for an abort; `key_of(i)`
@@ -504,35 +474,15 @@ class LockManager {
   void ReleaseBatch(const TransactionId& txn, const TransactionId* parent,
                     size_t n, const KeyOf& key_of, const HeldOf& held_of);
 
-  // Per-key commit/abort bodies; caller holds ks.m on an inflated key.
-  // They mutate holder sets/versions, emit the INFORM_*_AT trace event,
-  // and record counter and wakeup intents in `scratch` — no locking, no
-  // notifying.
-  void CommitKeyLocked(KeyState& ks, const TransactionId& txn,
-                       const TransactionId& parent, ReleaseScratch& scratch);
-  void AbortKeyLocked(KeyState& ks, const TransactionId& txn,
-                      ReleaseScratch& scratch);
-
-  // Full grant paths on an already-resolved key state.
-  Result<std::optional<int64_t>> AcquireReadOn(KeyState& ks,
-                                               const TransactionId& txn,
-                                               const AccessTraceInfo* trace,
-                                               HeldLock* held);
-  Result<std::optional<int64_t>> AcquireWriteOn(KeyState& ks,
-                                                const TransactionId& txn,
-                                                const Mutator& mutator,
-                                                const AccessTraceInfo* trace,
-                                                HeldLock* held);
-
-  // Inflated-regime repeat lanes; return false (without side effects)
-  // when the held lock is insufficient or the seq field moved.
-  bool TryReacquireRead(HeldLock& held, const TransactionId& txn,
-                        const AccessTraceInfo* trace,
-                        Result<std::optional<int64_t>>* result);
-  bool TryReacquireWrite(HeldLock& held, const TransactionId& txn,
-                         const Mutator& mutator,
-                         const AccessTraceInfo* trace,
-                         Result<std::optional<int64_t>>* result);
+  // The release body, for both regimes (commit when parent != nullptr,
+  // abort otherwise); ownership and `w` as for Grant. Inherits or purges,
+  // bumps the seq on a change and publishes the word; on an inflated key
+  // it also records wakeup intents and emits the INFORM_*_AT event.
+  // Counter and wakeup intents go to `scratch` — no notifying.
+  struct ReleaseScratch;
+  void ReleaseKey(KeyState& ks, const TransactionId& txn,
+                  const TransactionId* parent, uint64_t w,
+                  ReleaseScratch& scratch);
 
   // The value txn observes: deepest write holder's version, else base.
   // Caller holds ks.m (inflated) or the micro bit (uninflated).
@@ -565,10 +515,6 @@ class LockManager {
   EngineTraceRecorder* recorder_ = nullptr;
   WriteAheadLog* wal_ = nullptr;
 
-  struct Shard {
-    std::mutex m;
-    std::unordered_map<std::string, std::unique_ptr<KeyState>> keys;
-  };
   std::vector<Shard> shards_;
 
   // Orphan-cancellation state: the doomed subtree roots and the parked

@@ -56,10 +56,11 @@ namespace nestedtx {
      exactly ONE counter (one atomic RMW is most of such a lane's        \
      budget), and the aggregate view stays identical to the mutex        \
      path's accounting. */                                               \
-  /* cold/upgrade grants served by the lock word (no key mutex) */       \
+  /* fast read grants; fast write grants that insert a holder */         \
   X(kStatFastReadGrants, fast_read_grants)                               \
   X(kStatFastWriteGrants, fast_write_grants)                             \
-  /* repeat grants served by the seqlock/CAS held-lock lanes */          \
+  /* repeat reads served by the seqlock lane; fast write grants onto     \
+     the requester's own write slot */                                   \
   X(kStatFastReadReacquires, fast_read_reacquires)                       \
   X(kStatFastWriteReacquires, fast_write_reacquires)                     \
   /* keys escalated from the lock word to the mutex regime */             \
@@ -69,13 +70,7 @@ namespace nestedtx {
   /* OCC per-access counters, split like the fast-lane counters so       \
      Snapshot() folds them into reads/writes: an optimistic access      \
      bumps exactly ONE counter and aggregate accounting stays           \
-     identical to the locking paths'. NOTE for new OCC counters: these  \
-     are bumped via EngineStats::Bump, whose stripe-owner protocol      \
-     (first claimant keeps the ~1ns load+store pair; a second thread    \
-     slot degrades the stripe permanently to fetch_add) is documented   \
-     on Bump() below — any counter added here must tolerate that        \
-     bounded one-transition loss window, i.e. be a monitoring counter,  \
-     never a correctness-bearing one. */                                \
+     identical to the locking paths'. */                                \
   X(kStatOccReads, occ_reads)                                            \
   X(kStatOccWrites, occ_writes)                                          \
   /* top-level OCC commits that passed validation */                     \
@@ -144,53 +139,6 @@ class EngineStats {
         n, std::memory_order_relaxed);
   }
 
-  /// Bump `c` by one with a plain load+store on the stripe instead of an
-  /// atomic RMW where that is provably lossless. An uncontended
-  /// fetch_add still costs a full locked op (~7ns here) — most of a
-  /// seqlock lane's budget — while a relaxed load+store is ~1ns. The
-  /// load+store pair is only exact with a single writer, so each stripe
-  /// tracks its owning thread slot: the first Bump claims the stripe,
-  /// the sole claimant keeps the cheap pair, and the moment a second
-  /// slot arrives the stripe degrades permanently to fetch_add for
-  /// every writer.
-  ///
-  /// Counter contract (this is the documented fix for the old
-  /// unconditional load+store, which under stripe sharing both dropped
-  /// increments continuously AND could publish a stale value over
-  /// another thread's later increments — a non-monotone regression in
-  /// exported Prometheus counters): a stripe degrades at most ONCE in
-  /// its lifetime, and only the owner's single in-flight load+store
-  /// pair can overlap that transition. Total error is therefore bounded
-  /// by the increments landing inside one such pair per stripe — after
-  /// the transition every write is an atomic RMW, so counters are exact
-  /// and monotone from then on. Single-threaded runs (and any run where
-  /// no two thread slots collide mod kStripes) never degrade and stay
-  /// exact throughout. observability_test proves both properties under
-  /// TSan.
-  void Bump(StatCounter c) {
-    const uint32_t slot = ThreadSlot();
-    Stripe& s = stripes_[slot & (kStripes - 1)];
-    uint32_t owner = s.owner.load(std::memory_order_relaxed);
-    if (owner != slot) {
-      if (owner == kStripeUnowned &&
-          s.owner.compare_exchange_strong(owner, slot,
-                                          std::memory_order_relaxed)) {
-        // Claimed: fall through to the single-writer pair.
-      } else {
-        // Second writer (or already shared): degrade the stripe for
-        // good and take the exact path.
-        if (owner != kStripeShared) {
-          s.owner.store(kStripeShared, std::memory_order_relaxed);
-        }
-        s.c[c].fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-    std::atomic<uint64_t>& cell = s.c[c];
-    cell.store(cell.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
-  }
-
   /// Bump two counters by one with a single stripe lookup (the common
   /// grant+read / grant+write pairing on the access path).
   void Add2(StatCounter a, StatCounter b) {
@@ -211,15 +159,8 @@ class EngineStats {
  private:
   static constexpr size_t kStripes = 8;  // power of two
 
-  /// Stripe ownership states for Bump's single-writer fast pair. A
-  /// stripe moves kStripeUnowned -> (claiming slot) -> kStripeShared,
-  /// monotonically: once shared, never cheap again.
-  static constexpr uint32_t kStripeUnowned = ~0u;
-  static constexpr uint32_t kStripeShared = ~0u - 1;
-
   struct alignas(64) Stripe {
     std::atomic<uint64_t> c[kStatNumCounters]{};
-    std::atomic<uint32_t> owner{kStripeUnowned};
   };
 
   // Process-wide monotone thread slot; a thread keeps its slot for life,

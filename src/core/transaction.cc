@@ -117,12 +117,12 @@ Result<std::optional<int64_t>> Transaction::Access(const std::string& key,
   // lane in place on the cached handle. A hit proves the handle is
   // current, so none of the general path's handle copy-out, access-id
   // bookkeeping, or write-back happens. The guard re-states CheckActive
-  // with plain loads (no Status construction on the hot path); sampled
-  // spans take the general path below (their wait accounting must stay
-  // complete). The lane itself bails when tracing is on or the word has
-  // moved.
-  if (!exclusive && manager_->locks().FastReadLanePossible() &&
-      !span_sampled_ && !returned_.load(std::memory_order_relaxed) &&
+  // with plain loads (no Status construction on the hot path). Sampled
+  // spans take the lane too: a hit never waits, and the key's first
+  // access already stamped first_lock_ns. The lane itself bails when
+  // tracing is on or the word has moved.
+  if (!exclusive && manager_->locks().FastLanesEnabled() &&
+      !returned_.load(std::memory_order_relaxed) &&
       !manager_->locks().IsDoomed(id_)) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = FindByKey(keys_, key);
@@ -183,22 +183,17 @@ Result<std::optional<int64_t>> Transaction::LockedAccess(
   Result<std::optional<int64_t>> r = [&]() -> Result<std::optional<int64_t>> {
     SpanAccessScope span_scope(this);
     LockManager& locks = manager_->locks();
-    if (!exclusive) {
-      return have_held ? locks.ReacquireRead(held, id_, trace)
-                       : locks.AcquireRead(id_, key, trace, &held);
-    }
+    if (!exclusive) return locks.AcquireRead(id_, key, trace, &held);
     // A GetForUpdate is a write lock running the read op: the version
     // copy is what the model's write access does, and it makes the read
     // abort-safe.
     const LockManager::Mutator apply = [op](std::optional<int64_t> v) {
       return ApplyCellOp(op, v);
     };
-    return have_held ? locks.ReacquireWrite(held, id_, apply, trace)
-                     : locks.AcquireWrite(id_, key, apply, trace, &held);
+    return locks.AcquireWrite(id_, key, apply, trace, &held);
   }();
   if (!r.ok()) return r;
-  if (!have_held || held.word != before.word || held.read != before.read ||
-      held.write != before.write) {
+  if (!have_held || held.word != before.word || held.read != before.read) {
     CacheHeld(idx, key, held);
   }
   if (op.code != ops::kRead && manager_->wal() != nullptr) {
@@ -639,6 +634,7 @@ void TransactionManager::NoteTopLevelReturn() {
 void TransactionManager::MarkFailed(Status why) {
   std::lock_guard<std::mutex> lk(failed_mutex_);
   if (failed_status_.ok()) failed_status_ = std::move(why);
+  failed_.store(true, std::memory_order_release);
 }
 
 Status TransactionManager::failure() const {
@@ -647,12 +643,9 @@ Status TransactionManager::failure() const {
 }
 
 std::unique_ptr<Transaction> TransactionManager::Begin() {
-  {
-    // A failed engine (e.g. a recovery that died mid-replay) must not
-    // hand out handles over half-applied state.
-    std::lock_guard<std::mutex> lk(failed_mutex_);
-    if (!failed_status_.ok()) return nullptr;
-  }
+  // A failed engine (e.g. a recovery that died mid-replay) must not hand
+  // out handles over half-applied state.
+  if (failed_.load(std::memory_order_acquire)) return nullptr;
   bool occ = false;
   if (options_.cc_protocol == CcProtocol::kOcc) {
     occ = true;

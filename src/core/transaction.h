@@ -23,11 +23,12 @@
 // every commit or abort, child or top-level, returns through Finish().
 //
 // Hot path: each handle keeps a held-lock cache (key -> HeldLock handle
-// from the lock manager). A re-read under a held read/write lock or a
-// re-write under a held write lock goes through the lock manager's
-// Reacquire* fast lane, skipping the shard hash, the conflict scan and
-// the holder-set insert (see lock_manager.h for the epoch-based safety
-// argument).
+// from the lock manager). A repeat read first tries the lock manager's
+// seqlock lane in place on the cached handle (Access): an unchanged lock
+// word serves the value with no lock and no store. Every other access —
+// a miss, a write, a first touch — takes the lock manager's one grant
+// path, passing the cached handle in to skip the shard lookup (see
+// lock_manager.h for the word-based safety argument).
 //
 // Conflict scheduling per CcProtocol is documented in options.h.
 #ifndef NESTEDTX_CORE_TRANSACTION_H_
@@ -141,9 +142,9 @@ class Transaction {
   // --- Locking family (detect / wait-die / no-wait, and kAdaptive's
   // locking phase). transaction.cc. ---
 
-  /// The locking access: lock grant (held-lock fast lane when a cached
-  /// handle suffices), write-image record, trace aggregate fold. Also
-  /// what the traced OCC replay runs its buffered ops through.
+  /// The locking access: lock grant (the cached handle, if any, passed
+  /// in), write-image record, trace aggregate fold. Also what the traced
+  /// OCC replay runs its buffered ops through.
   Result<std::optional<int64_t>> LockedAccess(const std::string& key,
                                               OpDescriptor op,
                                               bool exclusive);
@@ -387,8 +388,11 @@ class TransactionManager {
   std::atomic<uint32_t> top_counter_{0};
 
   // Engine failure state (MarkFailed / failure / Begin's refusal).
+  // failed_ is set, after the status is stored, by MarkFailed, so Begin
+  // checks it with one acquire load instead of a process-wide mutex.
   mutable std::mutex failed_mutex_;
   Status failed_status_ = Status::OK();
+  std::atomic<bool> failed_{false};
 
   // Admission gate (see AdmitTopLevel).
   std::mutex admit_mutex_;

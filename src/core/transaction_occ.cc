@@ -22,10 +22,10 @@ Result<std::optional<int64_t>> Transaction::OccAccess(const std::string& key,
   }
   const std::optional<int64_t> next = ApplyCellOp(op, current);
   if (op.code == ops::kRead) {
-    manager_->stats().Bump(kStatOccReads);
+    manager_->stats().Add(kStatOccReads);
   } else {
     RecordWrite(key, next);
-    manager_->stats().Bump(kStatOccWrites);
+    manager_->stats().Add(kStatOccWrites);
   }
   if (manager_->locks().trace_recorder() != nullptr) {
     std::lock_guard<std::mutex> lock(mutex_);

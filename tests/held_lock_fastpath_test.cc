@@ -1,7 +1,9 @@
-// The held-lock fast lane must be invisible except for speed: re-reads
-// and re-writes under held locks return exactly the values the full
-// grant path would, emit exactly the same trace events, and never serve
-// a stale value after the key's holder set has changed (the epoch check).
+// Repeat access under a held lock must be invisible except for speed:
+// re-reads (the seqlock lane, or the grant path with the cached handle
+// passed in) and re-writes (the grant path with the cached handle)
+// return exactly the values a first access would, emit exactly the same
+// trace events, and never serve a stale value after the key's holder set
+// has changed (the lock word's seq check).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -22,8 +24,8 @@ EngineOptions ShortTimeoutOptions() {
 }
 
 // Repeated reads and read-modify-writes on the same keys inside one
-// transaction: after the first touch every access takes the fast lane,
-// and each must observe the value the serial semantics dictate.
+// transaction: after the first touch every access reuses the cached
+// handle, and each must observe the value the serial semantics dictate.
 TEST(HeldLockFastPathTest, RepeatAccessValuesMatchSerialSemantics) {
   Database db;
   db.Preload("k", 5);
@@ -44,9 +46,10 @@ TEST(HeldLockFastPathTest, RepeatAccessValuesMatchSerialSemantics) {
   ASSERT_TRUE(t2->Commit().ok());
 }
 
-// Fast-path grants must record the same event group as cold grants: the
-// trace deltas of a first (cold) and second (fast-lane) identical access
-// are the same size, and the whole run passes the Theorem 34 checker.
+// Repeat grants must record the same event group as cold grants: the
+// trace deltas of a first (cold) and second (cached-handle) identical
+// access are the same size, and the whole run passes the Theorem 34
+// checker.
 TEST(HeldLockFastPathTest, FastPathEmitsIdenticalTraceEvents) {
   Database db;
   ASSERT_TRUE(db.EnableTracing().ok());
@@ -56,15 +59,15 @@ TEST(HeldLockFastPathTest, FastPathEmitsIdenticalTraceEvents) {
   const size_t before_reads = db.trace()->Snapshot().size();
   ASSERT_TRUE(t->TryGet("k").ok());  // cold read: shard lookup + grant
   const size_t after_cold_read = db.trace()->Snapshot().size();
-  ASSERT_TRUE(t->TryGet("k").ok());  // fast-lane read
+  ASSERT_TRUE(t->TryGet("k").ok());  // repeat read, cached handle
   const size_t after_fast_read = db.trace()->Snapshot().size();
 
   ASSERT_TRUE(t->Add("k", 2).ok());  // cold write (lock upgrade)
   const size_t after_cold_write = db.trace()->Snapshot().size();
-  ASSERT_TRUE(t->Add("k", 2).ok());  // fast-lane write
+  ASSERT_TRUE(t->Add("k", 2).ok());  // repeat write, cached handle
   const size_t after_fast_write = db.trace()->Snapshot().size();
 
-  // Same number of events per access on both lanes.
+  // Same number of events per access, cold or repeat.
   const size_t cold_read_group = after_cold_read - before_reads;
   const size_t fast_read_group = after_fast_read - after_cold_read;
   EXPECT_GT(cold_read_group, 0u);
@@ -77,7 +80,7 @@ TEST(HeldLockFastPathTest, FastPathEmitsIdenticalTraceEvents) {
   ASSERT_TRUE(t->Commit().ok());
 
   // And the recorded schedule is a valid, serially correct run of the
-  // formal system — fast-lane events included.
+  // formal system — repeat-access events included.
   const Schedule alpha = db.trace()->Snapshot();
   auto st = db.trace()->BuildSystemType();
   ASSERT_TRUE(st.ok()) << st.status().ToString();
@@ -86,28 +89,77 @@ TEST(HeldLockFastPathTest, FastPathEmitsIdenticalTraceEvents) {
   EXPECT_TRUE(CheckSeriallyCorrectForAll(*st, alpha, {}).ok());
 }
 
-// The fast-lane contract must hold identically with the lock word
-// disabled (every key born inflated, mutex-regime reacquire lanes):
-// the same repeat-access scenario, same values, no fast-word counters.
+// The repeat-access contract must hold identically in the mutex regime,
+// reached two ways: with the lock word disabled (every key born
+// inflated), and on a key a real conflict inflated under a live holder
+// (a writer that waited and timed out) — plain and traced. Each input
+// runs the same repeat-access scenario through the one grant path:
+// same values, one holder entry per mode (no duplicate holder), no
+// fast-word counter moving while the key is inflated, and on the traced
+// input a trace that passes the Theorem 34 checker.
 TEST(HeldLockFastPathTest, RepeatAccessParityWithLockWordDisabled) {
-  EngineOptions o;
-  o.lock_word_enabled = false;
-  Database db(o);
-  db.Preload("k", 5);
-  auto t = db.Begin();
-  for (int i = 0; i < 50; ++i) {
-    auto v = t->TryGet("k");
-    ASSERT_TRUE(v.ok());
-    ASSERT_EQ(**v, 5 + i);
-    auto w = t->Add("k", 1);
-    ASSERT_TRUE(w.ok());
-    ASSERT_EQ(*w, 5 + i + 1);
+  struct Input {
+    const char* name;
+    bool lock_word;
+    bool inflate_by_conflict;
+    bool traced;
+  };
+  for (const Input& in : {Input{"lock_word_disabled", false, false, false},
+                          Input{"conflict_inflated", true, true, false},
+                          Input{"conflict_inflated_traced", true, true,
+                                true}}) {
+    SCOPED_TRACE(in.name);
+    EngineOptions o = ShortTimeoutOptions();
+    o.lock_word_enabled = in.lock_word;
+    Database db(o);
+    if (in.traced) {
+      ASSERT_TRUE(db.EnableTracing().ok());
+    }
+    db.Preload("k", 5);
+    auto t = db.Begin();
+    ASSERT_EQ(**t->TryGet("k"), 5);
+    if (in.inflate_by_conflict) {
+      // A sibling writer waits on t's read lock, inflating the key, and
+      // times out; t's lock keeps the key inflated afterwards.
+      auto rival = db.Begin();
+      EXPECT_TRUE(rival->Put("k", 0).IsTimedOut());
+      ASSERT_TRUE(rival->Abort().ok());
+    }
+    const StatsSnapshot before = db.stats().Snapshot();
+    for (int i = 0; i < 50; ++i) {
+      auto v = t->TryGet("k");
+      ASSERT_TRUE(v.ok());
+      ASSERT_EQ(**v, 5 + i);
+      auto w = t->Add("k", 1);
+      ASSERT_TRUE(w.ok());
+      ASSERT_EQ(*w, 5 + i + 1);
+    }
+    const LockManager::KeySnapshotForTest held =
+        db.manager().locks().SnapshotKeyForTest("k");
+    EXPECT_TRUE(held.inflated);
+    EXPECT_EQ(held.read_holders, std::vector<TransactionId>{t->id()});
+    EXPECT_EQ(held.write_holders, std::vector<TransactionId>{t->id()});
+    ASSERT_TRUE(t->Commit().ok());
+    EXPECT_EQ(db.ReadCommitted("k"), std::optional<int64_t>(55));
+    const StatsSnapshot snap = db.stats().Snapshot();
+    if (!in.lock_word) {
+      EXPECT_EQ(snap.fast_read_reacquires + snap.fast_write_reacquires, 0u)
+          << snap.ToString();
+    }
+    EXPECT_EQ(snap.fast_read_grants + snap.fast_write_grants +
+                  snap.fast_read_reacquires + snap.fast_write_reacquires,
+              before.fast_read_grants + before.fast_write_grants +
+                  before.fast_read_reacquires + before.fast_write_reacquires)
+        << snap.ToString();
+    if (in.traced) {
+      const Schedule alpha = db.trace()->Snapshot();
+      auto st = db.trace()->BuildSystemType();
+      ASSERT_TRUE(st.ok()) << st.status().ToString();
+      ASSERT_TRUE(ValidateAccessSemantics(*st).ok());
+      ASSERT_TRUE(CheckConcurrentWellFormed(*st, alpha).ok());
+      EXPECT_TRUE(CheckSeriallyCorrectForAll(*st, alpha, {}).ok());
+    }
   }
-  ASSERT_TRUE(t->Commit().ok());
-  EXPECT_EQ(db.ReadCommitted("k"), std::optional<int64_t>(55));
-  const StatsSnapshot snap = db.stats().Snapshot();
-  EXPECT_EQ(snap.fast_read_reacquires + snap.fast_write_reacquires, 0u)
-      << snap.ToString();
 }
 
 // Deterministic invalidation: a committing child's write bumps the key's
@@ -157,13 +209,13 @@ TEST(HeldLockFastPathTest, ParentRereadUnaffectedByChildAbort) {
 // A sibling top-level reader joining the key's holder set moves the
 // epoch; the first transaction's subsequent accesses still observe
 // correct values (fallback), and its held read lock still excludes a
-// sibling writer — the fast lane must not have corrupted the holder set.
+// sibling writer — repeat access must not have corrupted the holder set.
 TEST(HeldLockFastPathTest, SiblingReaderThenWriterExclusion) {
   Database db(ShortTimeoutOptions());
   db.Preload("k", 7);
   auto t1 = db.Begin();
   ASSERT_TRUE(t1->TryGet("k").ok());
-  ASSERT_TRUE(t1->TryGet("k").ok());  // fast lane engaged
+  ASSERT_TRUE(t1->TryGet("k").ok());  // seqlock lane engaged
 
   auto t2 = db.Begin();
   auto v2 = t2->TryGet("k");  // sibling read: shares the lock, bumps epoch
@@ -189,7 +241,7 @@ TEST(HeldLockFastPathTest, SiblingReaderThenWriterExclusion) {
 }
 
 // Concurrent nested traffic with heavy key reuse, validated end-to-end
-// by the serializability checker — the fast lane under real interleaving.
+// by the serializability checker — repeat access under real interleaving.
 TEST(HeldLockFastPathTest, ConcurrentRepeatAccessTraceIsSeriallyCorrect) {
   Database db(ShortTimeoutOptions());
   ASSERT_TRUE(db.EnableTracing().ok());
@@ -208,7 +260,7 @@ TEST(HeldLockFastPathTest, ConcurrentRepeatAccessTraceIsSeriallyCorrect) {
           }
           auto add = t.Add(mine, 1);
           if (!add.ok()) return add.status();
-          auto add2 = t.Add(mine, 1);  // fast-lane write
+          auto add2 = t.Add(mine, 1);  // repeat write
           if (!add2.ok()) return add2.status();
           auto peek = t.TryGet(theirs);
           if (!peek.ok()) return peek.status();

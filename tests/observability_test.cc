@@ -344,72 +344,25 @@ TEST(CounterCompletenessTest, EveryCounterOnEverySurface) {
 }
 
 // ---------------------------------------------------------------------
-// EngineStats::Bump's single-writer contract (the relaxed-counter
-// bugfix). The old Bump was an unconditional plain load+store: whenever
-// two thread slots collided mod kStripes it both dropped increments
-// continuously and could publish a stale value over the other thread's
-// later fetch_adds — exported counters went backwards. The fixed Bump
-// claims the stripe for one owner and degrades permanently to fetch_add
-// the moment a second slot shows up; these tests pin both halves of the
-// contract, and run under TSan in CI (all accesses are relaxed atomics,
-// so a clean run proves the protocol adds no races).
+// Every engine counter goes through EngineStats::Add (an atomic RMW on
+// the calling thread's stripe), so counters are exact under any thread
+// interleaving. 16 threads, two per stripe, hammer one counter together;
+// the total must be exact. Runs under TSan in CI (a clean run proves the
+// stripes add no races).
 
-TEST(BumpContractTest, SingleWriterIsExact) {
+TEST(StatsCounterTest, ConcurrentAddIsExact) {
   EngineStats stats;
-  constexpr uint64_t kN = 20000;
-  // A fresh thread: its slot is this stripe's first (and only) claimant,
-  // so every Bump takes the cheap pair and none may be lost.
-  std::thread t([&stats] {
-    for (uint64_t i = 0; i < kN; ++i) stats.Bump(kStatTxnsBegun);
-  });
-  t.join();
-  EXPECT_EQ(stats.Snapshot().txns_begun, kN);
-}
-
-TEST(BumpContractTest, SequentialStripeSharingLosesNothing) {
-  // More threads than stripes, run strictly one-after-another, so slots
-  // certainly collide mod kStripes but no two writes are ever in flight
-  // together. The claim/degrade transitions all happen with a sole
-  // writer, so the count must be EXACT — this is the scenario the old
-  // Bump silently corrupted (the second thread's plain stores resumed
-  // from its own stale view of the cell).
-  EngineStats stats;
-  constexpr int kThreads = 12;  // > kStripes (8): guaranteed collisions
-  constexpr uint64_t kPer = 5000;
-  for (int t = 0; t < kThreads; ++t) {
-    std::thread worker([&stats] {
-      for (uint64_t i = 0; i < kPer; ++i) stats.Bump(kStatTxnsBegun);
-    });
-    worker.join();
-  }
-  EXPECT_EQ(stats.Snapshot().txns_begun, kThreads * kPer);
-}
-
-TEST(BumpContractTest, DegradedStripesAreExactUnderConcurrency) {
-  // Phase 1: 16 fresh threads (two per stripe) each Bump once, forcing
-  // every touched stripe through its one-time degrade while the main
-  // thread waits. Phase 2: after a Reset, the same threads hammer
-  // concurrently — every stripe is now permanently shared, so every
-  // Bump is a fetch_add and the total must be exact. Under TSan this is
-  // also the race proof for the owner handshake itself.
-  EngineStats stats;
-  constexpr int kThreads = 16;
+  constexpr int kThreads = 16;  // > kStripes (8): stripes are shared
   constexpr uint64_t kPer = 8000;
-  std::atomic<int> degraded{0};
-  std::atomic<bool> hammer{false};
+  std::atomic<bool> go{false};
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&] {
-      stats.Bump(kStatTxnsBegun);
-      degraded.fetch_add(1);
-      while (!hammer.load()) std::this_thread::yield();
-      for (uint64_t i = 0; i < kPer; ++i) stats.Bump(kStatTxnsBegun);
+      while (!go.load()) std::this_thread::yield();
+      for (uint64_t i = 0; i < kPer; ++i) stats.Add(kStatTxnsBegun);
     });
   }
-  while (degraded.load() < kThreads) std::this_thread::yield();
-  stats.Reset();  // discard phase 1 (its transitional counts are bounded,
-                  // not exact); ownership state survives the reset
-  hammer.store(true);
+  go.store(true);
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(stats.Snapshot().txns_begun, kThreads * kPer);
 }
