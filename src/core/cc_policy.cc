@@ -137,19 +137,6 @@ std::unique_ptr<ConflictPolicy> MakeConflictPolicy(
       // (deadlocks == 0 and prevention_aborts == 0).
       return std::make_unique<DetectPolicy>(
           options, CcProtocolName(CcProtocol::kOcc));
-    case CcProtocol::kAdaptive: {
-      // The adaptive controller alternates OCC with a locking phase; the
-      // policy seam serves the locking phase. Recurse once with the
-      // configured fallback, sanitized here (the only reader of the
-      // knob): a non-locking fallback means detect.
-      EngineOptions locking = options;
-      locking.cc_protocol =
-          (options.adaptive_locking_protocol == CcProtocol::kOcc ||
-           options.adaptive_locking_protocol == CcProtocol::kAdaptive)
-              ? CcProtocol::kDetect
-              : options.adaptive_locking_protocol;
-      return MakeConflictPolicy(locking);
-    }
   }
   return std::make_unique<DetectPolicy>(options);
 }

@@ -120,14 +120,14 @@ std::string Database::ExportMetricsText() {
   MetricsRegistry& metrics = manager_.metrics();
   return metrics.ExportText(
       manager_.stats().Snapshot(),
-      manager_.locks().CollectHotKeys(metrics.hot_key_top_k()));
+      manager_.locks().CollectHotKeys(MetricsRegistry::kHotKeyTopK));
 }
 
 std::string Database::ExportMetricsJson() {
   MetricsRegistry& metrics = manager_.metrics();
   return metrics.ExportJson(
       manager_.stats().Snapshot(),
-      manager_.locks().CollectHotKeys(metrics.hot_key_top_k()));
+      manager_.locks().CollectHotKeys(MetricsRegistry::kHotKeyTopK));
 }
 
 Status Database::RunTransaction(int max_attempts, const TxnBody& body) {

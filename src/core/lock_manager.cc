@@ -173,13 +173,12 @@ LockManager::LockManager(const EngineOptions& options, EngineStats* stats,
     : options_(options),
       stats_(stats),
       metrics_(metrics),
-      policy_(MakeConflictPolicy(options)),
-      shards_(options.lock_table_shards) {}
+      policy_(MakeConflictPolicy(options)) {}
 
 LockManager::~LockManager() = default;
 
 size_t LockManager::ShardOf(const std::string& key) const {
-  return std::hash<std::string>{}(key) % shards_.size();
+  return std::hash<std::string>{}(key) % kLockTableShards;
 }
 
 LockManager::KeyState& LockManager::FindOrCreateLocked(
@@ -921,23 +920,16 @@ Result<std::optional<int64_t>> LockManager::OccReadKey(const std::string& key,
                                                        OccReadEntry* entry) {
   KeyState& ks = GetKeyState(key);
   for (;;) {
-    uint64_t w1 = ks.hot.word.load(std::memory_order_acquire);
+    const uint64_t w1 = ks.hot.word.load(std::memory_order_acquire);
     if (w1 & kWordInflated) {
-      // A locking phase (kAdaptive) may have left the key escalated. An
-      // inflated key belongs to the mutex regime (holders or waiters may
-      // still be on it), so its word is no validation version: either
-      // hand the key back to the word regime or fail the read.
-      {
-        std::lock_guard<std::mutex> lock(ks.m);
-        MaybeDeflateLocked(ks);
-      }
-      w1 = ks.hot.word.load(std::memory_order_acquire);
-      if (w1 & kWordInflated) {
-        stats_->Add(kStatOccValidationAborts);
-        return Status::Aborted(
-            StrCat("optimistic read of a locked (inflated) key: ", key));
-      }
-      continue;
+      // Fail closed. An untraced kOcc engine never inflates a key (only
+      // the locking grant and release paths do, and its handles never
+      // take them), but an inflated key belongs to the mutex regime —
+      // holders or waiters may be on it — so its word is no validation
+      // version.
+      stats_->Add(kStatOccValidationAborts);
+      return Status::Aborted(
+          StrCat("optimistic read of a locked (inflated) key: ", key));
     }
     if (w1 & kWordMicro) {
       std::this_thread::yield();
@@ -997,19 +989,12 @@ Status LockManager::OccCommit(const std::vector<WalWrite>& writes,
     for (int spin = 0; spin < kOccCommitSpinBudget && !have; ++spin) {
       uint64_t cur = ks.hot.word.load(std::memory_order_relaxed);
       if (cur & kWordInflated) {
-        // Deflate if quiescent. Taking ks.m while holding earlier MICRO
-        // bits is safe: mutex sections only ever spin on their OWN key's
-        // micro bit, and an inflated key's micro bit is always clear, so
-        // this wait is on bounded mutex sections, never on a cycle
-        // through a bit we hold.
-        std::lock_guard<std::mutex> lock(ks.m);
-        MaybeDeflateLocked(ks);
-        cur = ks.hot.word.load(std::memory_order_relaxed);
-        if (cur & kWordInflated) {
-          return fail(StrCat("OCC write set conflicts with a locked "
-                             "(inflated) key: ",
-                             w.key));
-        }
+        // Fail closed, as in OccReadKey: no untraced kOcc engine
+        // inflates a key, and an inflated word is no version to install
+        // over.
+        return fail(StrCat("OCC write set conflicts with a locked "
+                           "(inflated) key: ",
+                           w.key));
       }
       if (cur & kWordMicro) {
         std::this_thread::yield();

@@ -100,6 +100,7 @@
 #ifndef NESTEDTX_CORE_LOCK_MANAGER_H_
 #define NESTEDTX_CORE_LOCK_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -282,11 +283,11 @@ class LockManager {
   /// Optimistic read of `key`'s committed value: the seqlock read lane
   /// without any holder-set insert — two acquire loads around the value
   /// cache, zero shared-state writes on the hit path. Fills `entry` with
-  /// the exact word OccCommit will validate. An INFLATED key is deflated
-  /// if quiescent (a locking phase under kAdaptive may have left it
-  /// escalated) and otherwise fails with a retryable Status::Aborted
-  /// counted under occ_validation_aborts: an inflated key belongs to the
-  /// mutex regime, so its word is no validation version (DESIGN §4.9).
+  /// the exact word OccCommit will validate. An INFLATED key fails with
+  /// a retryable Status::Aborted counted under occ_validation_aborts: an
+  /// inflated key belongs to the mutex regime, so its word is no
+  /// validation version (DESIGN §4.9). No untraced kOcc engine inflates
+  /// a key; the check is a fail-closed guard.
   /// Requires lock_word_enabled and no trace recorder (traced OCC commits
   /// replay through the mutex-ordered locking paths instead).
   Result<std::optional<int64_t>> OccReadKey(const std::string& key,
@@ -294,10 +295,10 @@ class LockManager {
 
   /// Silo-style top-level OCC commit. `writes` must be sorted by key and
   /// unique. Three steps: (1) lock every write key's MICRO bit in sorted
-  /// key order (bounded spin; INFLATED keys are deflated if quiescent,
-  /// else the commit aborts); (2) validate every store-sourced read
-  /// entry's word is EXACTLY unchanged — for a key in our own write set
-  /// the pre-lock word is compared, so our own MICRO bit never fails us;
+  /// key order (bounded spin; an INFLATED key aborts the commit);
+  /// (2) validate every store-sourced read entry's word is EXACTLY
+  /// unchanged — for a key in our own write set the pre-lock word is
+  /// compared, so our own MICRO bit never fails us;
   /// (3) install each write as the committed base, refresh the value
   /// cache, and release with a seq bump so concurrent optimistic readers
   /// and later committers observe the change. Validation failure
@@ -515,7 +516,9 @@ class LockManager {
   EngineTraceRecorder* recorder_ = nullptr;
   WriteAheadLog* wal_ = nullptr;
 
-  std::vector<Shard> shards_;
+  /// Lock-table shards. A power of two, so ShardOf's modulo is a mask.
+  static constexpr size_t kLockTableShards = 64;
+  std::array<Shard, kLockTableShards> shards_;
 
   // Orphan-cancellation state: the doomed subtree roots and the parked
   // waiters a doom must wake, both under one mutex (the atomicity is the

@@ -51,7 +51,9 @@ const char* VictimPolicyName(VictimPolicy policy);
 /// serially correct schedule, so the engine is free to swap the conflict
 /// scheduler underneath and re-certify on recorded traces. The protocols
 /// differ only in WHAT HAPPENS to a conflicting requester (wait, wait
-/// conditionally, or die); the grant rule itself never changes.
+/// conditionally, or die); the grant rule itself never changes. The
+/// protocol is chosen once per engine: every transaction of an engine
+/// runs it, so lockers and optimists never mix.
 enum class CcProtocol {
   /// Deadlock detection (the default, and the engine's historical
   /// behaviour): conflicting requesters wait; a wait-for graph detects
@@ -82,13 +84,6 @@ enum class CcProtocol {
   /// abort discards only the child's sets); only top-level commit
   /// validates against the shared store. Requires lock_word_enabled.
   kOcc,
-  /// Workload-adaptive selection: a per-epoch controller reads the
-  /// engine's contention stats (validation/prevention abort rates, lock
-  /// waits) and switches the effective protocol between kOcc and
-  /// adaptive_locking_protocol with hysteresis, draining in-flight
-  /// transactions at each switch so optimistic and locking accesses
-  /// never overlap.
-  kAdaptive,
 };
 
 const char* CcProtocolName(CcProtocol protocol);
@@ -100,8 +95,6 @@ struct EngineOptions {
   VictimPolicy victim_policy = VictimPolicy::kRequester;
   /// Upper bound on any single lock wait.
   std::chrono::milliseconds lock_timeout{2000};
-  /// Number of lock-table shards (power of two).
-  size_t lock_table_shards = 64;
   /// Admission control on gated top-level execution (Database::
   /// RunTransaction and RetryExecutor::Run — raw Begin() is never gated):
   /// at most this many top-level transactions are admitted concurrently;
@@ -125,13 +118,6 @@ struct EngineOptions {
   /// span collection entirely; 1 samples every transaction. Sampling
   /// bounds both the per-txn stamping cost and the ring's churn.
   uint32_t span_sample_one_in = 0;
-  /// Capacity of the span ring (bounded memory: older spans are
-  /// overwritten once the ring wraps; SpanLog::total_recorded() minus
-  /// the ring size tells an exporter how many were dropped).
-  uint32_t span_ring_capacity = 1024;
-  /// How many hot keys (by cumulative wait-ns) the contention profiler
-  /// reports from ExportText()/ExportJson().
-  uint32_t hot_key_top_k = 10;
   /// Per-key atomic lock word (see DESIGN.md §5): uncontended grants,
   /// read-read sharing and same-holder repeat accesses resolve with one
   /// CAS (or one load) instead of the key mutex, escalating to the mutex
@@ -141,24 +127,6 @@ struct EngineOptions {
   /// fast lanes at runtime regardless of this flag (trace emission
   /// requires the mutex-ordered grant path).
   bool lock_word_enabled = true;
-  /// --- kAdaptive sub-knobs (ignored by every other protocol) ---
-  /// The locking-family protocol the adaptive controller falls back to
-  /// when contention makes optimistic execution churn: one of the
-  /// locking protocols (kDetect / kWaitDie / kNoWait); kOcc or kAdaptive
-  /// here means kDetect.
-  CcProtocol adaptive_locking_protocol = CcProtocol::kDetect;
-  /// Epoch length: the controller re-evaluates the protocol choice every
-  /// N top-level begins. 0 disables switching (the controller starts in
-  /// OCC and stays there).
-  uint32_t adaptive_epoch_txns = 256;
-  /// Hysteresis thresholds on the per-epoch abort rate
-  /// ((occ_validation_aborts + prevention_aborts + deadlocks) per begun
-  /// transaction). Above `to_locking` the controller leaves OCC; below
-  /// `to_occ` — and only when the epoch's lock-wait rate is also below
-  /// `to_occ` — it returns. The gap between the two is the hysteresis
-  /// band that prevents oscillation on a workload sitting at the border.
-  double adaptive_abort_rate_to_locking = 0.10;
-  double adaptive_abort_rate_to_occ = 0.02;
   /// --- Durability (write-ahead log; see core/wal.h, DESIGN.md §5) ---
   /// Master switch. When false (the default) no WAL is constructed and
   /// the commit path pays one predictable branch per write; when true,
@@ -190,11 +158,6 @@ struct EngineOptions {
   /// DESIGN.md §6). 0 (the default) means checkpoints happen only when
   /// Database::Checkpoint() is called explicitly.
   uint64_t wal_checkpoint_every_bytes = 0;
-  /// Adaptive group commit: the flush leader derives its hold time from
-  /// an EWMA of observed fsync latency instead of always sleeping the
-  /// full window — a fast device stops over-holding groups, a slow one
-  /// still amortizes. `wal_group_commit_us` stays the hard upper bound.
-  bool wal_adaptive_group_commit = false;
   /// Recovery parallelism: number of threads scanning shard files
   /// (CRC + decode) during Recover, capped at the shard count. 0 means
   /// one thread per shard up to the hardware concurrency. Replay itself

@@ -77,8 +77,6 @@ namespace nestedtx {
   X(kStatOccCommits, occ_commits)                                        \
   /* commits (or child merges) rejected by read-set validation */        \
   X(kStatOccValidationAborts, occ_validation_aborts)                     \
-  /* adaptive-controller protocol flips (either direction) */            \
-  X(kStatAdaptiveSwitches, adaptive_switches)                             \
   /* WAL counters (core/wal.h). Monitoring-grade like everything here. */ \
   /* commit images appended to a log shard */                             \
   X(kStatWalAppends, wal_appends)                                         \

@@ -126,7 +126,7 @@ class Transaction {
   friend class TransactionManager;
 
   Transaction(TransactionManager* manager, Transaction* parent,
-              TransactionId id, bool occ);
+              TransactionId id);
 
   Status CheckActive() const;
 
@@ -139,8 +139,7 @@ class Transaction {
   Result<std::optional<int64_t>> Access(const std::string& key,
                                         OpDescriptor op, bool exclusive);
 
-  // --- Locking family (detect / wait-die / no-wait, and kAdaptive's
-  // locking phase). transaction.cc. ---
+  // --- Locking family (detect / wait-die / no-wait). transaction.cc. ---
 
   /// The locking access: lock grant (the cached handle, if any, passed
   /// in), write-image record, trace aggregate fold. Also what the traced
@@ -207,14 +206,13 @@ class Transaction {
   Status Rollback(Status cause, uint64_t req_ns, size_t touched);
   /// The return epilogue shared by every commit and abort, top-level or
   /// child, either family: release and txn histograms, span, stats, doom
-  /// lift (aborts), then NoteTopLevelReturn or the parent's
+  /// lift (aborts), then the top-level counters or the parent's
   /// active_children_ decrement — last, since it lets the parent return.
   /// Returns `result`.
   Status Finish(Status result, uint64_t req_ns, size_t touched,
                 bool committed);
 
-  // --- Optimistic family (CcProtocol::kOcc / kAdaptive's OCC phase).
-  // transaction_occ.cc. ---
+  // --- Optimistic family (CcProtocol::kOcc). transaction_occ.cc. ---
   // An OCC handle never touches the lock manager's holder structures:
   // reads land in occ_reads_, writes in writes_. Reads resolve own
   // buffers -> ancestors' buffers -> store (giving repeatable reads);
@@ -296,9 +294,9 @@ class Transaction {
   std::atomic<bool> returned_{false};
   Value aggregate_ = 0;  // tracing only
 
-  /// True when this handle executes optimistically (kOcc always; under
-  /// kAdaptive, the controller's phase at top-level Begin). Children
-  /// inherit the flag, so a whole tree is either optimistic or locking.
+  /// True when this handle executes optimistically: the engine runs
+  /// kOcc. The protocol is fixed per engine, so a whole tree (and every
+  /// tree of the engine) is either optimistic or locking.
   const bool occ_;
 
   // Observability scratch. begin_ns_ is stamped once at construction
@@ -351,31 +349,6 @@ class TransactionManager {
   void ReleaseTopLevel();
 
  private:
-  friend class Transaction;
-
-  // --- kAdaptive controller (see options.h adaptive_* knobs) ---
-  // Every adaptive_epoch_txns top-level begins, the controller compares
-  // the epoch's abort rate (occ_validation_aborts + prevention_aborts +
-  // deadlocks per begun txn) and lock-wait rate against the hysteresis
-  // thresholds and, on a flip decision, DRAINS: new begins park until
-  // every in-flight top-level returns, then the phase switches. The
-  // drain is what keeps the phases honest — an optimistic reader must
-  // never observe a value cache mirroring a locking transaction's
-  // uncommitted deepest-writer version. Caveat: a thread must not hold
-  // an open top-level transaction while beginning another under
-  // kAdaptive (the drain would wait on itself).
-
-  /// Top-level admission for kAdaptive: runs the epoch evaluation (and
-  /// any drain) and registers the txn in-flight. Returns whether the
-  /// new transaction executes optimistically.
-  bool AdaptiveBeginTopLevel();
-  /// Evaluate the epoch's stats (caller holds adaptive_mutex_); returns
-  /// the desired phase (true = OCC).
-  bool EvaluateAdaptiveLocked();
-  /// Called exactly once when a top-level transaction returns (commit,
-  /// failed OCC commit, or abort). No-op unless kAdaptive.
-  void NoteTopLevelReturn();
-
   EngineOptions options_;
   EngineStats stats_;
   MetricsRegistry metrics_;
@@ -399,22 +372,6 @@ class TransactionManager {
   std::condition_variable admit_cv_;
   uint32_t admitted_ = 0;
   uint32_t admit_queued_ = 0;
-
-  // kAdaptive controller state. The common-case begin touches only the
-  // atomics (the mutex would otherwise serialize every top-level begin
-  // and cost ~25% of hot-cell throughput); adaptive_mutex_ serializes
-  // epoch evaluation, guards the cv, and covers the stat baselines. The
-  // controller starts optimistic; the baselines anchor per-epoch deltas
-  // against the monotone engine counters.
-  std::mutex adaptive_mutex_;
-  std::condition_variable adaptive_cv_;
-  std::atomic<bool> adaptive_occ_{true};
-  std::atomic<bool> adaptive_switching_{false};
-  std::atomic<uint32_t> adaptive_inflight_{0};
-  std::atomic<uint32_t> adaptive_since_eval_{0};
-  uint64_t adaptive_base_begun_ = 0;
-  uint64_t adaptive_base_aborts_ = 0;
-  uint64_t adaptive_base_waits_ = 0;
 };
 
 }  // namespace nestedtx

@@ -1,7 +1,7 @@
-// The optimistic protocol family of Transaction (CcProtocol::kOcc and
-// kAdaptive's OCC phase; DESIGN.md §4.9): buffered access, child
-// validate-and-merge, top-level commit. Transaction::Access and
-// Transaction::Commit (transaction.cc) enter here once per operation.
+// The optimistic protocol family of Transaction (CcProtocol::kOcc;
+// DESIGN.md §4.9): buffered access, child validate-and-merge, top-level
+// commit. Transaction::Access and Transaction::Commit (transaction.cc)
+// enter here once per operation.
 #include <algorithm>
 
 #include "core/transaction.h"

@@ -379,8 +379,7 @@ Status WriteAheadLog::WriteAndSync(Shard& sh, const std::string& group) {
                : Status::IoError("failpoint-injected flush failure");
   }
   FailPoints::MaybeDelay(FailPoints::kWalFsync);
-  const bool timing = metrics_ != nullptr ||
-                      options_.wal_adaptive_group_commit;
+  const bool timing = metrics_ != nullptr;
   const uint64_t start_ns = timing ? MonotonicNowNs() : 0;
   size_t limit = group.size();
   bool torn = false;
@@ -417,37 +416,9 @@ Status WriteAheadLog::WriteAndSync(Shard& sh, const std::string& group) {
       if (stats_ != nullptr) stats_->Add(kStatWalFsyncs);
       break;
   }
-  if (timing) {
-    const uint64_t elapsed = MonotonicNowNs() - start_ns;
-    if (metrics_ != nullptr) {
-      metrics_->Record(kHistWalFsyncNs, elapsed);
-    }
-    // EWMA (alpha = 1/8) of flush latency, feeding the adaptive hold
-    // time. Racy read-modify-write across concurrent leaders is fine:
-    // the estimate is advisory and the window stays clamped.
-    const uint64_t cur = fsync_ewma_ns_.load(std::memory_order_relaxed);
-    fsync_ewma_ns_.store(cur == 0 ? elapsed : cur - cur / 8 + elapsed / 8,
-                         std::memory_order_relaxed);
-  }
+  if (timing) metrics_->Record(kHistWalFsyncNs, MonotonicNowNs() - start_ns);
   if (stats_ != nullptr) stats_->Add(kStatGroupCommitBatches);
   return Status::OK();
-}
-
-uint64_t WriteAheadLog::GroupHoldUs() const {
-  uint64_t hold = options_.wal_group_commit_us;
-  if (options_.wal_adaptive_group_commit) {
-    // Holding a group open longer than one flush costs more ack latency
-    // than the batching saves, so the observed flush latency is the
-    // natural hold ceiling; the configured window stays the upper bound
-    // (and the floor is 1us so a fast device still batches stragglers
-    // already past their append).
-    const uint64_t ewma_us =
-        fsync_ewma_ns_.load(std::memory_order_relaxed) / 1000;
-    if (ewma_us != 0) {
-      hold = std::min<uint64_t>(hold, std::max<uint64_t>(1, ewma_us));
-    }
-  }
-  return hold;
 }
 
 Status WriteAheadLog::FlushLocked(Shard& sh,
@@ -548,7 +519,7 @@ Status WriteAheadLog::WaitDurable(const WalTicket& ticket) {
       // records are already buffered or will be before they park here)
       // — up to the window, cut early when nobody is in that gap.
       own.flushing = true;
-      const uint64_t hold_us = GroupHoldUs();
+      const uint64_t hold_us = options_.wal_group_commit_us;
       if (hold_us > 0 &&
           release_pending_.load(std::memory_order_acquire) != 0) {
         own.cv.wait_for(

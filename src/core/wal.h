@@ -25,9 +25,7 @@
 // back through NoteCommitReleased once its install and release fan-out
 // finish). One write+sync then covers every record that joined — the
 // release fan-out itself is the batching window, no dedicated flusher
-// thread needed. With wal_adaptive_group_commit the leader tightens the
-// window to the observed fsync-latency EWMA: holding a group longer
-// than one fsync costs more latency than the batching saves.
+// thread needed.
 //
 // Cross-shard consistent cut (what makes an ack safe with >1 shard): a
 // commit's effects install before WaitDurable, so a later commit on
@@ -307,10 +305,6 @@ class WriteAheadLog {
   /// The unlocked write+sync of one cut group (failpoint injection,
   /// chunked writes, fsync mode, stats/metrics).
   Status WriteAndSync(Shard& sh, const std::string& group);
-  /// The leader's group-commit hold time in microseconds: the
-  /// configured window, tightened by the fsync-latency EWMA when
-  /// wal_adaptive_group_commit is on.
-  uint64_t GroupHoldUs() const;
   /// Write `data` to `path` atomically: tmp file, full write, fsync
   /// (unless kNone), rename over `path`, directory fsync. With
   /// `inject_short_write` the kWalCheckpoint torn-snapshot failpoint
@@ -349,9 +343,6 @@ class WriteAheadLog {
   std::atomic<uint64_t> release_pending_{0};
   /// Set by the first append; Recover requires it clear.
   std::atomic<bool> appended_{false};
-  /// EWMA of observed fsync latency (ns), fed by WriteAndSync; the
-  /// adaptive group-commit leader derives its hold time from it.
-  std::atomic<uint64_t> fsync_ewma_ns_{0};
   /// Log bytes appended since the last completed checkpoint — the
   /// automatic-trigger odometer.
   std::atomic<uint64_t> bytes_since_checkpoint_{0};

@@ -1,7 +1,6 @@
 // Policy-parity storms: the same order-inverting write meshes the
 // deadlock storm suite runs against detection, executed under every
-// protocol the CC seam offers (detect / wait-die / no-wait / occ /
-// adaptive).
+// protocol the CC seam offers (detect / wait-die / no-wait / occ).
 //
 // Theorem 34's serial-correctness argument is policy-agnostic — it
 // quantifies over every schedule the R/W locking discipline admits, and
@@ -48,7 +47,7 @@ int StressScale() {
 
 constexpr CcProtocol kAllProtocols[] = {
     CcProtocol::kDetect, CcProtocol::kWaitDie, CcProtocol::kNoWait,
-    CcProtocol::kOcc, CcProtocol::kAdaptive};
+    CcProtocol::kOcc};
 
 struct StormSpec {
   int threads = 8;
@@ -150,12 +149,6 @@ void CheckDrained(Database& db, const StormSpec& spec,
       // commit lock phase acquires in sorted key order, and traced
       // replay does too).
       EXPECT_EQ(snap.deadlocks, 0u) << snap.ToString();
-      EXPECT_EQ(snap.prevention_aborts, 0u) << snap.ToString();
-      break;
-    case CcProtocol::kAdaptive:
-      // Locking phases run the configured fallback (detect by
-      // default), so deadlocks may be found and resolved; the OCC
-      // phases contribute validation aborts. Prevention never runs.
       EXPECT_EQ(snap.prevention_aborts, 0u) << snap.ToString();
       break;
   }

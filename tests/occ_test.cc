@@ -9,14 +9,10 @@
 //  - nested semantics are buffer merges — child commit folds its sets
 //    into the parent, partial abort discards exactly the child's sets;
 //  - the sorted commit lock phase cannot deadlock (deadlocks == 0 under
-//    opposite-order write meshes);
-//  - kAdaptive flips between OCC and the locking family on the epoch
-//    controller's abort/wait rates, draining in-flight transactions at
-//    each switch.
+//    opposite-order write meshes).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -26,7 +22,6 @@
 #include "core/lock_manager.h"
 #include "serial/data_type.h"
 #include "tx/well_formed.h"
-#include "util/strings.h"
 
 namespace nestedtx {
 namespace {
@@ -279,61 +274,6 @@ TEST(OccTest, TracedStaleCommitAbortsCleanly) {
   ASSERT_TRUE(wf.ok()) << wf.ToString();
   Status sc = CheckSeriallyCorrectForAll(*st, alpha, {});
   EXPECT_TRUE(sc.ok()) << sc.ToString();
-}
-
-// The adaptive controller: contention pushes the engine from OCC into
-// the locking family (abort rate over the to-locking threshold), and a
-// calm stretch pulls it back (both rates under the to-occ threshold).
-TEST(OccTest, AdaptiveSwitchesUnderContentionAndBack) {
-  EngineOptions o;
-  o.cc_protocol = CcProtocol::kAdaptive;
-  o.adaptive_epoch_txns = 16;
-  Database db(o);
-  db.Preload("hot", 0);
-
-  // Phase 1: a hot-key read-modify-write mesh with a widened conflict
-  // window. OCC validation aborts dominate, so the epoch evaluation
-  // must flip to the locking fallback.
-  constexpr int kThreads = 4;
-  std::atomic<int> at_gate{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&db, &at_gate] {
-      at_gate.fetch_add(1);
-      while (at_gate.load() < kThreads) std::this_thread::yield();
-      for (int i = 0; i < 40; ++i) {
-        Status s = db.RunTransaction(1000, [&](Transaction& tx) -> Status {
-          auto v = tx.TryGet("hot");
-          RETURN_IF_ERROR(v.status());
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-          return tx.Put("hot", v->value_or(0) + 1);
-        });
-        EXPECT_TRUE(s.ok()) << s.ToString();
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(db.ReadCommitted("hot"),
-            std::optional<int64_t>(kThreads * 40));
-  const StatsSnapshot mid = db.stats().Snapshot();
-  EXPECT_GE(mid.adaptive_switches, 1u) << mid.ToString();
-
-  // Phase 2: conflict-free singleton transactions, run serially. Every
-  // epoch now measures zero aborts and zero waits, so whatever phase
-  // the storm ended in, the controller must settle back into (or pass
-  // through) OCC — at least one more switch if phase 1 left us locking.
-  for (uint32_t i = 0; i < 3 * o.adaptive_epoch_txns + 1; ++i) {
-    Status s = db.RunTransaction(10, [&](Transaction& tx) -> Status {
-      return tx.Put(StrCat("cold", i), 1);
-    });
-    ASSERT_TRUE(s.ok()) << s.ToString();
-  }
-  const StatsSnapshot snap = db.stats().Snapshot();
-  // Phase 2's calm epochs guarantee OCC is re-entered; combined with
-  // phase 1's flip away from it, that is at least two switches.
-  EXPECT_GE(snap.adaptive_switches, 2u) << snap.ToString();
-  // The locking fallback is detection: prevention never ran.
-  EXPECT_EQ(snap.prevention_aborts, 0u) << snap.ToString();
 }
 
 // NormalizeOptions: kOcc requires the one-word lane (validation

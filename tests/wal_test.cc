@@ -1089,14 +1089,13 @@ TEST(WalTest, FailedMidReplayRecoveryPoisonsTheEngine) {
   }
 }
 
-// The fsync-latency-adaptive group-commit window: a smoke that the EWMA
-// hold (clamped by wal_group_commit_us) still batches correctly and
-// loses nothing across a restart.
-TEST(WalTest, AdaptiveGroupCommitWindowRoundTrips) {
+// A wide (500 us) group-commit window under four concurrent committers:
+// the held-open groups still batch correctly and lose nothing across a
+// restart.
+TEST(WalTest, WideGroupCommitWindowConcurrentRoundTrips) {
   TempDir dir;
   EngineOptions o = WalOptions(dir.path);
   o.wal_group_commit_us = 500;
-  o.wal_adaptive_group_commit = true;
   constexpr int kThreads = 4;
   constexpr int kTxns = 6;
   {
